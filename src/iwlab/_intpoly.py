@@ -2,7 +2,11 @@
 
 Polynomials are lists of Python ints, lowest degree first.  Multiplication
 uses Kronecker substitution (pack into one big integer, one machine multiply,
-unpack with balanced digits) so the hot loops run at bigint speed.
+unpack with balanced digits, or with byte-aligned slots when no coefficient
+is negative) so the hot loops run at bigint speed; products of at most 36
+coefficient pairs use the schoolbook loop.  `reduce_cyclotomic`
+is the one reduction modulo Phi_m shared by scalars, series and the group
+algebra.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     m = n
@@ -84,10 +89,29 @@ def polymul(a: list[int], b: list[int]) -> list[int]:
     if lb == 1:
         s = b[0]
         return [s * c for c in a]
+    if la * lb <= 36:  # schoolbook beats packing on small products
+        out = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    n = la + lb - 1
+    if min(a) >= 0 and min(b) >= 0:
+        # residues, as the series and group-algebra kernels pass: byte-aligned
+        # slots pack and unpack in linear time, with no sign to carry
+        bound = max(a) * max(b) * min(la, lb)
+        if bound == 0:
+            return [0] * n
+        w = (bound.bit_length() + 7) // 8
+        pack_a = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+        pack_b = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little")
+        buf = (pack_a * pack_b).to_bytes(w * n, "little")
+        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, w * n, w)]
     ma = max(abs(c) for c in a)
     mb = max(abs(c) for c in b)
     if ma == 0 or mb == 0:
-        return [0] * (la + lb - 1)
+        return [0] * n
     # slot width: products plus carries from min(la, lb) summands, one sign bit
     bound = ma * mb * min(la, lb)
     bits = (2 * bound + 1).bit_length()
@@ -97,7 +121,7 @@ def polymul(a: list[int], b: list[int]) -> list[int]:
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     out = []
-    for _ in range(la + lb - 1):
+    for _ in range(n):
         d = v & mask
         if d >= half:
             d -= 1 << bits
@@ -124,13 +148,6 @@ def polydivmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, trim(r[:db])
 
 
-def polymod_many(a: list[int], b: list[int], modulus: int | None = None) -> list[int]:
-    q, r = polydivmod_monic(a, b)
-    if modulus is not None:
-        r = [c % modulus for c in r]
-    return r
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first."""
@@ -146,3 +163,29 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
             raise AssertionError("cyclotomic division must be exact")
         f = q
     return tuple(f)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_fold(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(m), nonzero lower terms (j, c_j) of Phi_m): x^phi = -sum c_j x^j."""
+    f = cyclotomic_poly(m)
+    return len(f) - 1, tuple((j, c) for j, c in enumerate(f[:-1]) if c)
+
+
+def reduce_cyclotomic(a, m: int) -> list[int]:
+    """The remainder of the integer polynomial a modulo Phi_m, exactly, as
+    exactly phi(m) coefficients.  Only the nonzero terms of Phi_m are folded,
+    so the sparse Phi_{p^k} cost one subtraction per term, not phi(m)."""
+    deg, terms = _cyclotomic_fold(m)
+    r = list(a)
+    if len(r) <= deg:
+        r.extend([0] * (deg - len(r)))
+        return r
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if c:
+            base = i - deg
+            for j, cj in terms:
+                r[base + j] -= c * cj
+    del r[deg:]
+    return r

@@ -7,6 +7,7 @@ characters from elementary subgroups.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -104,24 +105,26 @@ def character_table(group: FiniteGroup, ctx: PrecisionContext, order_bound: int 
 
 
 _TABLE_CACHE: dict = {}
+_TABLE_LOCK = threading.RLock()  # one build per key, even when checks run in threads
 
 
 def _character_table_cached(group, ctx, order_bound):
-    key = (id(group), ctx.p, ctx.cap_N)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    if group.n > order_bound:
-        raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
-    if group.is_abelian():
-        table = _abelian_table(group, ctx)
-    else:
-        table = _dixon_table(group, ctx)
-    total = sum(ch.degree_int() ** 2 for ch in table)
-    if total != group.n or len(table) != group.num_classes:
-        raise AssertionError("character table failed the degree check")
-    table = sorted(table, key=Character.sort_key)
-    _TABLE_CACHE[key] = table
-    return table
+    with _TABLE_LOCK:
+        key = (id(group), ctx.p, ctx.cap_N)
+        if key in _TABLE_CACHE:
+            return _TABLE_CACHE[key]
+        if group.n > order_bound:
+            raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
+        if group.is_abelian():
+            table = _abelian_table(group, ctx)
+        else:
+            table = _dixon_table(group, ctx)
+        total = sum(ch.degree_int() ** 2 for ch in table)
+        if total != group.n or len(table) != group.num_classes:
+            raise AssertionError("character table failed the degree check")
+        table = sorted(table, key=Character.sort_key)
+        _TABLE_CACHE[key] = table
+        return table
 
 
 def _abelian_table(group: FiniteGroup, ctx: PrecisionContext):
@@ -556,7 +559,7 @@ def _cyclic_convolve(a: GroupAlgebraElement, b: GroupAlgebraElement):
     log coordinates, fold modulo u^n - 1, reduce each cyclotomic slot."""
     from math import lcm as _lcm
 
-    from ._intpoly import cyclotomic_poly, euler_phi, polydivmod_monic, polymul
+    from ._intpoly import euler_phi, polymul, reduce_cyclotomic
     from .series import _scalar_to_coords
 
     g = a.group
@@ -593,18 +596,15 @@ def _cyclic_convolve(a: GroupAlgebraElement, b: GroupAlgebraElement):
         fb[base : base + phi] = list(vec)
     prod = polymul(fa, fb)
     prod += [0] * (2 * n * stride - len(prod))
-    phi_poly = list(cyclotomic_poly(big))
     inv_log = [0] * n
     for elem in range(n):
         inv_log[logs[elem]] = elem
     out = [None] * n
-    scale = Fraction(1, p ** (ka + kb))
+    scale = p ** (ka + kb)
     for k in range(n):
         chunk = [x + y for x, y in zip(prod[k * stride : k * stride + stride], prod[(k + n) * stride : (k + n) * stride + stride])]
-        if len(chunk) > phi:
-            _, chunk = polydivmod_monic(list(chunk), phi_poly)
-        chunk = list(chunk) + [0] * (phi - len(chunk))
-        out[inv_log[k]] = CycloPadic(ctx, big, [Fraction(c % pmod) * scale for c in chunk[:phi]], prec)
+        chunk = reduce_cyclotomic(chunk, big)
+        out[inv_log[k]] = CycloPadic(ctx, big, [c % pmod for c in chunk], prec, scale)
     return GroupAlgebraElement(g, tuple(out))
 
 
@@ -612,10 +612,6 @@ def algebra_one(group: FiniteGroup, ctx: PrecisionContext) -> GroupAlgebraElemen
     coeffs = [ctx.zero()] * group.n
     coeffs[group.identity] = ctx.one()
     return GroupAlgebraElement(group, tuple(coeffs))
-
-
-def algebra_zero(group: FiniteGroup, ctx: PrecisionContext) -> GroupAlgebraElement:
-    return GroupAlgebraElement(group, tuple([ctx.zero()] * group.n))
 
 
 def idempotent(chi: Character) -> GroupAlgebraElement:

@@ -82,7 +82,8 @@ def direct_sum_local(a: LocalDatum, b: LocalDatum) -> LocalDatum:
     ]
     for i in range(m):
         mat.append([z] * n + list(b.frobenius[i]))
-    return LocalDatum(ctx, tuple(tuple(r) for r in mat), a.norm, max(a.order_bound, b.order_bound))
+    # the order of the sum is the lcm of the two orders, at most their product
+    return LocalDatum(ctx, tuple(tuple(r) for r in mat), a.norm, a.order_bound * b.order_bound)
 
 
 def fixed_space_dim(chi: Character, sub: SubgroupDesc) -> int:

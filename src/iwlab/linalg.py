@@ -15,14 +15,14 @@ from .padic import CycloPadic, PrecisionContext, _algebra_norm, _field_inverse
 def is_invertible(x: CycloPadic) -> bool:
     if x.is_exact_zero():
         return False
-    return _algebra_norm(list(x.coeffs), x.m) != 0
+    return _algebra_norm(x.nums, x.m) != 0
 
 
 def exact_inverse(x: CycloPadic) -> CycloPadic:
-    inv = _field_inverse(x.coeffs, x.m)
+    inv = _field_inverse(x.nums, x.den, x.m)
     if inv is None:
         raise ZeroDivisionError("zero divisor in coefficient algebra")
-    return CycloPadic(x.ctx, x.m, inv, x.prec)
+    return CycloPadic(x.ctx, x.m, inv[0], x.prec, inv[1])
 
 
 def mat_mul(a, b):
@@ -38,17 +38,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    return [sum_entries([a[i][j] * v[j] for j in range(len(v))]) for i in range(len(a))]
-
-
-def sum_entries(xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc + x
-    return acc
 
 
 def identity_matrix(ctx: PrecisionContext, n: int):

@@ -1,10 +1,13 @@
 """Exact arithmetic in cyclotomic extensions of Q_p with explicit precision tracking.
 
 A value lives in the etale algebra Q_p[x]/Phi_m(x) ("conductor m"), represented
-on the power basis 1, zeta, ..., zeta^(phi(m)-1) with exact rational coefficients
-whose denominators have a bounded p-part.  The integer `prec` means the value is
-trusted modulo p^prec in the maximal order; two values are equal when their
-difference has valuation at least the joint precision.
+on the power basis 1, zeta, ..., zeta^(phi(m)-1) by integer numerators `nums`
+over one positive common denominator `den`, normalised so that
+gcd(den, *nums) = 1 (the exact zero is ((0,) * phi(m), 1)).  Every operation
+stays in Python ints; `coeffs` gives the same value as reduced `Fraction`s.
+The p-part of `den` is bounded by `max_den_exp`.  The integer `prec` means the
+value is trusted modulo p^prec in the maximal order; two values are equal when
+their difference has valuation at least the joint precision.
 
 The algebra is a product of fields when Phi_m splits over Q_p, so "the"
 valuation of an element is only well defined place by place.  `min_valuation`
@@ -18,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
-from ._intpoly import cyclotomic_poly, divisors, euler_phi, polymul, polydivmod_monic
+from ._intpoly import cyclotomic_poly, divisors, euler_phi, is_prime, polymul, reduce_cyclotomic
 
 _BIG = 10**9  # stands in for +infinity in integer precision arithmetic
 
@@ -43,7 +46,7 @@ class PrecisionContext:
     max_den_exp: int = 64
 
     def __post_init__(self):
-        if self.p < 2 or not _is_prime(self.p):
+        if self.p < 2 or not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.cap_N < 1 or self.cap_D < 1:
             raise ValueError("cap_N and cap_D must be >= 1")
@@ -53,8 +56,11 @@ class PrecisionContext:
     def make(self, value, prec: int | None = None) -> "CycloPadic":
         if isinstance(value, CycloPadic):
             return value
+        prec = self.cap_N if prec is None else prec
+        if type(value) is int:
+            return CycloPadic(self, 1, (value,), prec, 1)
         q = Fraction(value)
-        return CycloPadic(self, 1, (q,), self.cap_N if prec is None else prec)
+        return CycloPadic(self, 1, (q.numerator,), prec, q.denominator)
 
     def zero(self) -> "CycloPadic":
         return self.make(0)
@@ -64,17 +70,6 @@ class PrecisionContext:
 
     def root_of_unity(self, m: int, j: int = 1) -> "CycloPadic":
         return make_root_of_unity(self, m, j)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -87,52 +82,73 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
-def _vp_frac(q: Fraction, p: int) -> int:
-    if q == 0:
-        return _BIG
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
+def _split_p(n: int, p: int) -> tuple[int, int]:
+    """(p^v, n / p^v) for the largest v with p^v | n, n != 0."""
+    pv = 1
+    while n % p == 0:
+        n //= p
+        pv *= p
+    return pv, n
 
 
-def _phi_coeffs(m: int) -> tuple[int, ...]:
-    return cyclotomic_poly(m)
+def _to_nums(coeffs) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the least common denominator of ints/Fractions."""
+    cs = tuple(coeffs)
+    if all(type(c) is int for c in cs):
+        return cs, 1
+    fs = [Fraction(c) for c in cs]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
-def _reduce_frac_poly(coeffs: list[Fraction], m: int) -> list[Fraction]:
-    """Reduce a rational polynomial modulo Phi_m, exactly."""
-    deg = euler_phi(m)
-    if len(coeffs) <= deg:
-        return list(coeffs) + [Fraction(0)] * (deg - len(coeffs))
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    _, r = polydivmod_monic(ints, list(_phi_coeffs(m)))
-    r = list(r) + [0] * (deg - len(r))
-    return [Fraction(n, den) for n in r[:deg]]
+def _embed_nums(nums: tuple[int, ...], m: int, big_m: int) -> tuple[int, ...]:
+    """Coordinates in conductor big_m of the value with coordinates nums in m."""
+    if len(nums) == 1:  # m = 1 or 2: the value is rational
+        return nums + (0,) * (euler_phi(big_m) - 1)
+    step = big_m // m
+    acc = [0] * ((len(nums) - 1) * step + 1)
+    acc[::step] = nums
+    return tuple(reduce_cyclotomic(acc, big_m))
 
 
 class CycloPadic:
-    """An element of Q_p(zeta_m) (as the etale algebra Q_p[x]/Phi_m) mod p^prec."""
+    """An element of Q_p(zeta_m) (as the etale algebra Q_p[x]/Phi_m) mod p^prec.
 
-    __slots__ = ("ctx", "m", "coeffs", "prec")
+    `CycloPadic(ctx, m, coeffs, prec)` takes ints or Fractions; with `den`
+    given, `coeffs` are integer numerators over that positive denominator."""
 
-    def __init__(self, ctx: PrecisionContext, m: int, coeffs, prec: int):
-        deg = euler_phi(m)
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != deg:
-            raise ValueError(f"conductor {m} needs {deg} coefficients, got {len(cs)}")
-        for c in cs:
-            if _vp_int(c.denominator, ctx.p) > ctx.max_den_exp:
-                raise DenominatorOverflow(f"denominator exponent exceeds {ctx.max_den_exp}")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "prec", prec)
+    __slots__ = ("ctx", "m", "nums", "den", "prec")
+
+    def __init__(self, ctx: PrecisionContext, m: int, coeffs, prec: int, den: int | None = None):
+        if den is None:
+            nums, den = _to_nums(coeffs)
+        else:
+            nums = tuple(coeffs)
+            if den != 1:
+                g = gcd(den, *nums)
+                if g != 1:
+                    den //= g
+                    nums = tuple(c // g for c in nums)
+        if len(nums) != euler_phi(m):
+            raise ValueError(f"conductor {m} needs {euler_phi(m)} coefficients, got {len(nums)}")
+        if den != 1 and den % ctx.p == 0 and _vp_int(den, ctx.p) > ctx.max_den_exp:
+            raise DenominatorOverflow(f"denominator exponent exceeds {ctx.max_den_exp}")
+        _set_ctx(self, ctx)
+        _set_m(self, m)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_prec(self, prec)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloPadic values are immutable")
 
     # -- representation ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def __repr__(self):
         if self.m == 1:
@@ -140,23 +156,34 @@ class CycloPadic:
         return f"CycloPadic(m={self.m}, {list(self.coeffs)}, p={self.ctx.p}, prec={self.prec})"
 
     def is_exact_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def coeff_floor(self) -> int:
         """min_i v_p(coeff_i): an exact lower bound for the valuation."""
-        return min((_vp_frac(c, self.ctx.p) for c in self.coeffs), default=_BIG)
+        g = gcd(*self.nums)
+        if g == 0:
+            return _BIG
+        p = self.ctx.p
+        v = 0
+        while g % p == 0:
+            g //= p
+            v += 1
+        den = self.den
+        if den != 1 and den % p == 0:
+            v -= _vp_int(den, p)
+        return v
 
     def is_integral(self) -> bool:
         # power basis is a Z_p-basis of the maximal order
-        return all(_vp_int(c.denominator, self.ctx.p) == 0 for c in self.coeffs)
+        return self.den % self.ctx.p != 0
 
     # -- conductor plumbing -------------------------------------------------
 
@@ -166,11 +193,7 @@ class CycloPadic:
             return self
         if big_m % self.m != 0:
             raise ValueError(f"{self.m} does not divide {big_m}")
-        step = big_m // self.m
-        acc = [Fraction(0)] * big_m
-        for i, c in enumerate(self.coeffs):
-            acc[i * step] += c
-        return CycloPadic(self.ctx, big_m, _reduce_frac_poly(acc, big_m), self.prec)
+        return CycloPadic(self.ctx, big_m, _embed_nums(self.nums, self.m, big_m), self.prec, self.den)
 
     def project(self, small_m: int) -> "CycloPadic":
         """Rewrite in conductor small_m; error if the value does not lie there."""
@@ -204,6 +227,8 @@ class CycloPadic:
     def _common(self, other: "CycloPadic") -> tuple["CycloPadic", "CycloPadic"]:
         if self.ctx.p != other.ctx.p:
             raise ValueError("mixed primes")
+        if self.m == other.m:
+            return self, other
         big = lcm(self.m, other.m)
         return self.embed(big), other.embed(big)
 
@@ -214,42 +239,46 @@ class CycloPadic:
             return other
         return self.ctx.make(other)
 
+    def _combine(self, other: "CycloPadic", sign: int) -> "CycloPadic":
+        """self + sign * other, one construction."""
+        a, b = (self, other) if self.m == other.m and self.ctx is other.ctx else self._common(other)
+        da, db = a.den, b.den
+        if da == db:
+            if len(a.nums) == 1:
+                nums = (a.nums[0] + sign * b.nums[0],)
+            else:
+                nums = tuple(x + sign * y for x, y in zip(a.nums, b.nums))
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            nums = tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums))
+            da *= db // g
+        return CycloPadic(a.ctx, a.m, nums, min(a.prec, b.prec), da)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self._common(other)
-        prec = min(a.prec, b.prec)
-        return CycloPadic(a.ctx, a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), prec)
+        return self._combine(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloPadic(self.ctx, self.m, tuple(-c for c in self.coeffs), self.prec)
+        return CycloPadic(self.ctx, self.m, tuple(-c for c in self.nums), self.prec, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(self._coerce(other), -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._combine(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self._common(other)
-        den_a = 1
-        for c in a.coeffs:
-            den_a = den_a * c.denominator // gcd(den_a, c.denominator)
-        den_b = 1
-        for c in b.coeffs:
-            den_b = den_b * c.denominator // gcd(den_b, c.denominator)
-        ia = [int(c * den_a) for c in a.coeffs]
-        ib = [int(c * den_b) for c in b.coeffs]
-        prod = polymul(ia, ib)
-        _, r = polydivmod_monic(prod, list(_phi_coeffs(a.m)))
-        deg = euler_phi(a.m)
-        r = list(r) + [0] * (deg - len(r))
-        den = den_a * den_b
-        coeffs = tuple(Fraction(n, den) for n in r[:deg])
-        prec = min(a.prec + max(b.coeff_floor(), -_BIG), b.prec + a.coeff_floor(), a.prec + b.prec)
-        return CycloPadic(a.ctx, a.m, coeffs, min(prec, _BIG))
+        a, b = (self, other) if self.m == other.m and self.ctx is other.ctx else self._common(other)
+        if len(a.nums) == 1:
+            nums = (a.nums[0] * b.nums[0],)
+        else:
+            nums = reduce_cyclotomic(polymul(a.nums, b.nums), a.m)
+        fa, fb = a.coeff_floor(), b.coeff_floor()
+        prec = min(a.prec + fb, b.prec + fa, a.prec + b.prec, _BIG)
+        return CycloPadic(a.ctx, a.m, nums, prec, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -262,14 +291,13 @@ class CycloPadic:
             raise PrecisionError("valuation structure not certifiable (impure element)")
         if v >= self.prec:
             raise PrecisionError("element indistinguishable from zero at current precision")
-        inv = _field_inverse(self.coeffs, self.m)
+        inv = _field_inverse(self.nums, self.den, self.m)
         if inv is None:
             raise ZeroDivisionError("zero divisor in the coefficient algebra")
-        import math
-        new_prec = self.prec - 2 * math.ceil(max(v, 0))
+        new_prec = self.prec - 2 * ceil(max(v, 0))
         if new_prec <= 0:
             raise PrecisionError("precision exhausted by inversion")
-        return CycloPadic(self.ctx, self.m, inv, new_prec)
+        return CycloPadic(self.ctx, self.m, inv[0], new_prec, inv[1])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -300,29 +328,33 @@ class CycloPadic:
         return v
 
     def _valuation_and_purity(self, check_purity: bool = True):
-        if self.is_exact_zero():
+        nums = self.nums
+        if not any(nums):
             return None, True
-        p = self.ctx.p
-        t = self.coeff_floor()
-        scale = Fraction(1, p) ** t if t >= 0 else Fraction(p) ** (-t)
-        cur = [c * scale for c in self.coeffs]
-        pk = _p_part(self.m, p)
-        e = euler_phi(pk) if pk > 1 else 1
+        p, m = self.ctx.p, self.m
+        # x = p^t * cur / cur_den with cur integral, not all divisible by p, p-free cur_den
+        ps, _ = _split_p(gcd(*nums), p)
+        pk_den, cur_den = _split_p(self.den, p)
+        t = _vp_int(ps, p) - _vp_int(pk_den, p)
+        cur = tuple(c // ps for c in nums) if ps != 1 else nums
+        e = euler_phi(_split_p(m, p)[0])
         j = 0
         if e > 1:
-            inv_pi = _pi_inverse(self.ctx, self.m)
+            inv_nums, inv_den = _pi_inverse(p, m)
             while j < e - 1:
-                nxt = _frac_mul(cur, inv_pi, self.m)
-                if all(_vp_int(c.denominator, p) == 0 for c in nxt):
-                    cur = nxt
+                nxt = reduce_cyclotomic(polymul(cur, inv_nums), m)
+                nxt_den = cur_den * inv_den
+                g = gcd(nxt_den, *nxt)
+                if (nxt_den // g) % p:
+                    cur = tuple(c // g for c in nxt)
+                    cur_den = nxt_den // g
                     j += 1
                 else:
                     break
         v = Fraction(t) + Fraction(j, e)
         if not check_purity:
             return v, True
-        pure = _is_order_unit(self.ctx, self.m, cur)
-        return v, pure
+        return v, _is_order_unit(p, m, cur)
 
     def valuation(self) -> Fraction | None:
         """v_p normalised to v_p(p) = 1, or None when the value is
@@ -338,7 +370,7 @@ class CycloPadic:
         """Integral with valuation zero at every embedding."""
         if self.is_exact_zero():
             return False
-        return self.is_integral() and _is_order_unit(self.ctx, self.m, list(self.coeffs))
+        return self.is_integral() and _is_order_unit(self.ctx.p, self.m, self.nums)
 
     # -- comparison ---------------------------------------------------------
 
@@ -347,8 +379,9 @@ class CycloPadic:
         diff = self - other
         if diff.is_exact_zero():
             return True
-        v = diff.min_valuation()
-        return v >= min(self.prec, other.prec)
+        # min_valuation lies in [coeff_floor, coeff_floor + 1), and the
+        # joint precision is an integer
+        return diff.coeff_floor() >= min(self.prec, other.prec)
 
     def __eq__(self, other):
         if isinstance(other, (CycloPadic, int, Fraction)):
@@ -366,20 +399,26 @@ class CycloPadic:
         n = self.prec if prec is None else min(prec, self.prec)
         if n <= 0:
             raise PrecisionError("no precision left to reduce to")
-        out = []
-        for c in self.coeffs:
-            if c == 0:
-                out.append(Fraction(0))
-                continue
-            k = _vp_int(c.denominator, p)
-            mod = p ** (n + k)
-            rest = c.denominator // p**k
-            num = c.numerator * pow(rest, -1, mod) % mod
-            out.append(Fraction(num, p**k))
-        return CycloPadic(self.ctx, self.m, out, n)
+        pk, rest = _split_p(self.den, p)
+        mod = p**n * pk
+        if rest == 1:
+            nums = tuple(c % mod for c in self.nums)
+        else:
+            r = pow(rest, -1, mod)
+            nums = tuple(c * r % mod for c in self.nums)
+        return CycloPadic(self.ctx, self.m, nums, n, pk)
 
     def galois(self, a: int) -> "CycloPadic":
         return galois_apply(a, self)
+
+
+# direct slot setters: __setattr__ refuses writes, and these cost half of
+# object.__setattr__ on the constructor every scalar operation runs
+_set_ctx = CycloPadic.ctx.__set__
+_set_m = CycloPadic.m.__set__
+_set_nums = CycloPadic.nums.__set__
+_set_den = CycloPadic.den.__set__
+_set_prec = CycloPadic.prec.__set__
 
 
 # -- module-level operations ---------------------------------------------------
@@ -394,9 +433,9 @@ def make_root_of_unity(ctx: PrecisionContext, m: int, j: int) -> CycloPadic:
     jj = (j * d // m) % max(d, 1)
     if d == 1:
         return ctx.one()
-    acc = [Fraction(0)] * d
-    acc[jj] = Fraction(1)
-    return CycloPadic(ctx, d, _reduce_frac_poly(acc, d), ctx.cap_N)
+    acc = [0] * d
+    acc[jj] = 1
+    return CycloPadic(ctx, d, reduce_cyclotomic(acc, d), ctx.cap_N, 1)
 
 
 def valuation(x: CycloPadic) -> Fraction | None:
@@ -409,156 +448,52 @@ def galois_apply(a: int, x: CycloPadic) -> CycloPadic:
     a %= m
     if gcd(a, m) != 1:
         raise ValueError(f"gcd({a}, {m}) != 1")
-    acc = [Fraction(0)] * m
-    for i, c in enumerate(x.coeffs):
+    acc = [0] * m
+    for i, c in enumerate(x.nums):
         acc[(a * i) % m] += c
-    return CycloPadic(x.ctx, m, _reduce_frac_poly(acc, m), x.prec)
+    return CycloPadic(x.ctx, m, reduce_cyclotomic(acc, m), x.prec, x.den)
 
 
 # -- internal helpers ----------------------------------------------------------
 
 
-def _p_part(m: int, p: int) -> int:
-    pk = 1
-    while m % p == 0:
-        pk *= p
-        m //= p
-    return pk
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction], m: int) -> list[Fraction]:
-    den_a = 1
-    for c in a:
-        den_a = den_a * c.denominator // gcd(den_a, c.denominator)
-    den_b = 1
-    for c in b:
-        den_b = den_b * c.denominator // gcd(den_b, c.denominator)
-    ia = [int(c * den_a) for c in a]
-    ib = [int(c * den_b) for c in b]
-    _, r = polydivmod_monic(polymul(ia, ib), list(_phi_coeffs(m)))
-    deg = euler_phi(m)
-    r = list(r) + [0] * (deg - len(r))
-    den = den_a * den_b
-    return [Fraction(n, den) for n in r[:deg]]
-
-
 @lru_cache(maxsize=None)
-def _pi_inverse_coeffs(p: int, m: int) -> tuple[Fraction, ...]:
-    pk = _p_part(m, p)
-    deg = euler_phi(m)
-    acc = [Fraction(0)] * m
-    acc[0] = Fraction(1)
-    acc[m // pk] -= Fraction(1)  # 1 - zeta_{p^k}
-    pi = _reduce_frac_poly(acc, m)
-    inv = _field_inverse(tuple(pi), m)
+def _pi_inverse(p: int, m: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of 1 / (1 - zeta_{p^k}), p^k the p-part of m."""
+    acc = [0] * m
+    acc[0] = 1
+    acc[m // _split_p(m, p)[0]] = -1  # 1 - zeta_{p^k}
+    inv = _field_inverse(reduce_cyclotomic(acc, m), 1, m)
     if inv is None:
         raise AssertionError("pi must be invertible")
-    return tuple(inv)
+    nums, den = inv
+    g = gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
 
 
-def _pi_inverse(ctx: PrecisionContext, m: int) -> list[Fraction]:
-    return list(_pi_inverse_coeffs(ctx.p, m))
-
-
-def _field_inverse(coeffs, m: int) -> list[Fraction] | None:
-    """Inverse modulo Phi_m by the extended Euclidean algorithm over Q[x]."""
-    phi = [Fraction(c) for c in _phi_coeffs(m)]
-    a = list(coeffs)
-    # invariants: r0 = s0 * a mod phi, r1 = s1 * a mod phi
-    r0, s0 = phi, [Fraction(0)]
-    r1, s1 = _trim_f(a), [Fraction(1)]
-    if not r1:
-        return None
-    while r1 and len(r1) > 1:
-        q, r = _poly_divmod_f(r0, r1)
-        s = _poly_sub_f(s0, _poly_mul_f(q, s1))
-        r0, s0, r1, s1 = r1, s1, _trim_f(r), s
-    if not r1:
-        return None  # nontrivial gcd: zero divisor
-    c = r1[0]
-    inv = [x / c for x in s1]
-    return _reduce_frac_poly(inv, m)
-
-
-def _trim_f(a: list[Fraction]) -> list[Fraction]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_divmod_f(a: list[Fraction], b: list[Fraction]):
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i] != 0:
-            c = r[i] / lead
-            q[i - db] = c
-            for jj in range(db + 1):
-                r[i - db + jj] -= c * b[jj]
-    return q, r[:db]
-
-
-def _poly_mul_f(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_f(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _is_order_unit(ctx: PrecisionContext, m: int, coeffs: list[Fraction]) -> bool:
-    nrm = _algebra_norm(coeffs, m)
-    if nrm == 0:
-        return False
-    return _vp_frac(nrm, ctx.p) == 0
-
-
-def _algebra_norm(coeffs: list[Fraction], m: int) -> Fraction:
-    """Determinant of multiplication by the element (the algebra norm)."""
-    deg = euler_phi(m)
-    phi = _phi_coeffs(m)
+def _mul_rows(nums, m: int) -> list[list[int]]:
+    """Integer matrix of multiplication by nums: column j holds nums * zeta^j."""
+    deg = len(nums)
+    phi = cyclotomic_poly(m)
     cols = []
-    cur = list(coeffs)
+    cur = list(nums)
     for _ in range(deg):
-        cols.append(list(cur))
+        cols.append(cur)
         # multiply by zeta: shift and fold the overflow via Phi
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(deg):
                 cur[i] -= top * phi[i]
-    den = 1
-    for col in cols:
-        for c in col:
-            den = den * c.denominator // gcd(den, c.denominator)
-    mat = [[int(cols[j][i] * den) for j in range(deg)] for i in range(deg)]
-    d = _int_det(mat)
-    return Fraction(d, den**deg)
+    return [[col[i] for col in cols] for i in range(deg)]
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free elimination of the leading n x n block of the rows a, in
+    place and carrying any further columns along; returns its determinant."""
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -567,11 +502,50 @@ def _int_det(mat: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        row_k = a[k]
+        akk = row_k[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+            row = a[i]
+            aik = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * akk - aik * row_k[j]) // prev
+        prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def _algebra_norm(nums, m: int) -> int:
+    """Determinant of multiplication by the numerators: the algebra norm of
+    nums/den is this over den^phi(m)."""
+    return _bareiss(_mul_rows(nums, m), len(nums))
+
+
+def _field_inverse(nums, den: int, m: int) -> tuple[list[int], int] | None:
+    """(nums', den') of the inverse of nums/den, den' > 0; None for a zero
+    divisor.  Solves nums * y = den by fraction-free elimination: Cramer's
+    rule makes det * y integral, so back substitution divides exactly."""
+    n = len(nums)
+    rows = _mul_rows(nums, m)
+    for i, row in enumerate(rows):
+        row.append(den if i == 0 else 0)
+    if _bareiss(rows, n) == 0:
+        return None
+    d = rows[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row[n] * d
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    if d < 0:
+        return [-c for c in y], -d
+    return y, d
+
+
+def _is_order_unit(p: int, m: int, nums) -> bool:
+    """Whether the integral element with numerators nums (over a p-free
+    denominator) is a unit of the maximal order."""
+    return _algebra_norm(nums, m) % p != 0
 
 
 def _solve_rational(cols: list[tuple[Fraction, ...]], target) -> list[Fraction] | None:

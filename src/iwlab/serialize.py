@@ -7,9 +7,6 @@ reduced modulo p^(prec + den_exp).  All container schemas carry a "schema" key.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-
 from ._intpoly import euler_phi
 from .groups import FiniteGroup
 from .iwmodules import ElementaryModuleDesc
@@ -34,19 +31,27 @@ SCHEMAS = {
 
 def scalar_to_json(x: CycloPadic) -> dict:
     r = x.reduce_mod()
+    p = x.ctx.p
+    top = _vp_int(r.den, p)  # r.den = p^top
     coeffs = []
-    for c in r.coeffs:
-        k = _vp_int(c.denominator, x.ctx.p)
-        coeffs.append([int(c.numerator), k])
+    for num in r.nums:
+        k = top
+        while k and num % p == 0:
+            num //= p
+            k -= 1
+        coeffs.append([num, k])
     return {"schema": SCHEMAS["scalar"], "m": r.m, "coeffs": coeffs, "prec": r.prec}
 
 
 def scalar_from_json(ctx: PrecisionContext, doc: dict) -> CycloPadic:
     m = doc["m"]
-    coeffs = [Fraction(num, ctx.p**k) for num, k in doc["coeffs"]]
-    if len(coeffs) != euler_phi(m):
+    pairs = doc["coeffs"]
+    if len(pairs) != euler_phi(m):
         raise ValueError("wrong coefficient count for the conductor")
-    return CycloPadic(ctx, m, coeffs, doc["prec"])
+    if any(k < 0 for _, k in pairs):
+        raise ValueError("negative denominator exponent")
+    top = max(k for _, k in pairs)
+    return CycloPadic(ctx, m, [num * ctx.p ** (top - k) for num, k in pairs], doc["prec"], ctx.p**top)
 
 
 def series_to_json(f: TruncatedSeries) -> dict:
@@ -277,7 +282,3 @@ def complex_from_json(ctx: PrecisionContext, doc: dict):
             tuple(tuple(scalar_from_json(ctx, x) for x in row) for row in comp) for comp in doc["t"]
         )
     return TrivializedComplex(ring, tuple(doc["degrees"]), ranks, diffs, t)
-
-
-def dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from ._intpoly import cyclotomic_poly, euler_phi, polydivmod_monic, polymul
-from .padic import CycloPadic, PrecisionContext, PrecisionError
+from ._intpoly import euler_phi, polymul, reduce_cyclotomic
+from .padic import CycloPadic, PrecisionContext, PrecisionError, _embed_nums
 
 
 class Infinity:
@@ -37,26 +37,30 @@ INFINITY = Infinity()
 
 
 def _scalar_to_coords(x: CycloPadic, m: int, prec: int) -> tuple[int, ...]:
-    y = x.embed(m).reduce_mod(prec)
-    coords = []
-    for c in y.coeffs:
-        if c.denominator != 1:
-            raise ValueError("series coefficients must be integral")
-        coords.append(c.numerator)
-    return tuple(coords)
+    """Coordinates in conductor m of the integral scalar x, reduced into
+    [0, p^n) with n = min(prec, x.prec)."""
+    if m % x.m != 0:
+        raise ValueError(f"{x.m} does not divide {m}")
+    n = min(prec, x.prec)
+    if n <= 0:
+        raise PrecisionError("no precision left to reduce to")
+    p = x.ctx.p
+    if x.den % p == 0:
+        raise ValueError("series coefficients must be integral")
+    nums = x.nums if m == x.m else _embed_nums(x.nums, x.m, m)
+    pmod = p**n
+    if x.den == 1:
+        return tuple(c % pmod for c in nums)
+    r = pow(x.den, -1, pmod)
+    return tuple(c * r % pmod for c in nums)
 
 
 def _coords_to_scalar(ctx: PrecisionContext, m: int, coords, prec: int) -> CycloPadic:
-    return CycloPadic(ctx, m, [Fraction(c) for c in coords], prec)
+    return CycloPadic(ctx, m, coords, prec, 1)
 
 
 def _zmul(u, v, m: int, pmod: int) -> tuple[int, ...]:
-    phi = euler_phi(m)
-    prod = polymul(list(u), list(v))
-    if len(prod) > phi:
-        _, prod = polydivmod_monic(prod, list(cyclotomic_poly(m)))
-    prod = list(prod) + [0] * (phi - len(prod))
-    return tuple(c % pmod for c in prod[:phi])
+    return tuple(c % pmod for c in reduce_cyclotomic(polymul(u, v), m))
 
 
 def _zadd(u, v, pmod):
@@ -86,14 +90,13 @@ def _ser_mul(a, b, m: int, pmod: int, out_len: int):
     for i, u in enumerate(b):
         fb[i * stride : i * stride + phi] = list(u)
     prod = polymul(fa, fb)
-    phi_poly = list(cyclotomic_poly(m))
+    if phi == 1:  # rational coordinates: nothing to fold
+        prod += [0] * (out_len - len(prod))
+        return [(c % pmod,) for c in prod[:out_len]]
     out = []
     for k in range(out_len):
-        chunk = prod[k * stride : k * stride + stride]
-        if len(chunk) > phi:
-            _, chunk = polydivmod_monic(list(chunk), phi_poly)
-        chunk = list(chunk) + [0] * (phi - len(chunk))
-        out.append(tuple(c % pmod for c in chunk[:phi]))
+        chunk = reduce_cyclotomic(prod[k * stride : k * stride + stride], m)
+        out.append(tuple(c % pmod for c in chunk))
     return out
 
 
@@ -108,19 +111,23 @@ def _ser_inverse(a, m: int, pmod: int, out_len: int, ctx: PrecisionContext, prec
         raise PrecisionError("series is not a unit (constant term not a unit)")
     c0i = _scalar_to_coords(c0.inverse(), m, prec)
     phi = euler_phi(m)
+    if phi == 1:  # rational coordinates: the recurrence in plain ints
+        a0 = [u[0] for u in a]
+        inv0 = c0i[0]
+        vals = [inv0]
+        for n in range(1, out_len):
+            acc = sum(a0[i] * vals[n - i] for i in range(1, min(n, len(a) - 1) + 1))
+            vals.append(-inv0 * acc % pmod)
+        return [(c,) for c in vals]
     out = [c0i]
-    phi_poly = list(cyclotomic_poly(m))
     for n in range(1, out_len):
         acc = [0] * (2 * phi - 1)
         for i in range(1, min(n, len(a) - 1) + 1):
             u, v = a[i], out[n - i]
-            pr = polymul(list(u), list(v))
+            pr = polymul(u, v)
             for j, c in enumerate(pr):
                 acc[j] += c
-        if len(acc) > phi:
-            _, acc = polydivmod_monic(acc, phi_poly)
-        acc = list(acc) + [0] * (phi - len(acc))
-        t = tuple(c % pmod for c in acc[:phi])
+        t = tuple(c % pmod for c in reduce_cyclotomic(acc, m))
         out.append(tuple((-x) % pmod for x in _zmul(c0i, t, m, pmod)))
     return out
 
@@ -271,7 +278,7 @@ class TruncatedSeries:
         prec = min(self.prec, tail)
         if prec <= 0:
             raise PrecisionError("evaluation exhausted the precision budget")
-        return CycloPadic(acc.ctx, acc.m, acc.coeffs, min(acc.prec, prec))
+        return CycloPadic(acc.ctx, acc.m, acc.nums, min(acc.prec, prec), acc.den)
 
     def equals(self, other) -> bool:
         a, b = self._common(self._coerce(other))
@@ -371,15 +378,10 @@ class DistinguishedPolynomial:
         for i, u in enumerate(b):
             fb[i * stride : i * stride + phi] = list(u)
         prod = polymul(fa, fb)
-        out_len = len(a) + len(b) - 1
-        phi_poly = list(cyclotomic_poly(big))
         out = []
-        for k in range(out_len):
-            chunk = list(prod[k * stride : k * stride + stride])
-            if len(chunk) > phi:
-                _, chunk = polydivmod_monic(chunk, phi_poly)
-            chunk = list(chunk) + [0] * (phi - len(chunk))
-            out.append(tuple(c % pmod for c in chunk[:phi]))
+        for k in range(len(a) + len(b) - 1):
+            chunk = reduce_cyclotomic(prod[k * stride : k * stride + stride], big)
+            out.append(tuple(c % pmod for c in chunk))
         return DistinguishedPolynomial(self.ctx, big, prec, out)
 
     def __pow__(self, n: int):
@@ -498,14 +500,6 @@ def cyclotomic_polys(ctx: PrecisionContext, n: int) -> tuple[DistinguishedPolyno
             coeffs[j] += comb(e, j)
     xi = DistinguishedPolynomial.from_coeffs(ctx, coeffs)
     return omega, xi
-
-
-def omega_poly(ctx: PrecisionContext, n: int) -> DistinguishedPolynomial:
-    return cyclotomic_polys(ctx, n)[0]
-
-
-def xi_poly(ctx: PrecisionContext, n: int) -> DistinguishedPolynomial:
-    return cyclotomic_polys(ctx, n)[1]
 
 
 def _vp_vec(u, p: int) -> int:

@@ -973,6 +973,19 @@ def _make_claim_check(idx: int, claim: dict):
     return (f"corpus/claim-{idx}", f"external claim ({kind})", run)
 
 
+def _crash_witness(exc: BaseException) -> dict:
+    """The exception, its class name, and its innermost iwlab frame as
+    module:line:function."""
+    where = None
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module == "iwlab" or module.startswith("iwlab."):
+            where = f"{module}:{tb.tb_lineno}:{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return {"error": repr(exc), "type": type(exc).__name__, "where": where}
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}")
@@ -991,7 +1004,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         except CheckFailure as exc:
             return CheckRecord(check_id, law, "fail", exc.witness)
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check with a witness
-            return CheckRecord(check_id, law, "fail", {"error": repr(exc)})
+            return CheckRecord(check_id, law, "fail", _crash_witness(exc))
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

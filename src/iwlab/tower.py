@@ -14,7 +14,9 @@ orders all live here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+
 from .characters import (
     Character,
     GroupAlgebraElement,
@@ -43,21 +45,26 @@ class LieTower:
         self.p = ctx.p
         self.n_max = n_max
         self._levels: dict[int, LevelData] = {}
+        # checks share a tower across threads: each level is built once, so
+        # every caller sees the same group object
+        self._lock = threading.RLock()
 
     # subclass hooks: _build_level(n), _project_map(m, n)
 
     def level(self, n: int) -> LevelData:
         if n < 0 or n > self.n_max:
             raise ValueError(f"level {n} outside [0, {self.n_max}]")
-        if n not in self._levels:
-            self._levels[n] = self._build_level(n)
-        return self._levels[n]
+        with self._lock:
+            if n not in self._levels:
+                self._levels[n] = self._build_level(n)
+            return self._levels[n]
 
     def project_map(self, m: int, n: int):
         """Element map G_m -> G_n for n <= m."""
         if n > m:
             raise ValueError("projection goes down the tower")
-        return self._project_map(m, n)
+        with self._lock:
+            return self._project_map(m, n)
 
 
 class SplitTower(LieTower):

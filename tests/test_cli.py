@@ -124,3 +124,19 @@ def test_good_corpus_claim_passes(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_crash_witness_names_type_and_innermost_iwlab_frame(monkeypatch):
+    from iwlab import suites
+    from iwlab.padic import make_root_of_unity
+
+    def crashing_check(ctx, rng):
+        make_root_of_unity(ctx, 0, 1)  # raises ValueError inside iwlab.padic
+
+    monkeypatch.setitem(suites.SUITES, "euler", [("euler/crash", "a check that crashes", crashing_check)])
+    (record,) = run_suite(SuiteConfig("euler", 3, 8, 10, 0)).records
+    assert record.status == "fail"
+    assert record.witness["type"] == "ValueError"
+    assert record.witness["error"] == repr(ValueError("order m must be positive"))
+    module, line, function = record.witness["where"].split(":")
+    assert (module, function) == ("iwlab.padic", "make_root_of_unity") and int(line) > 0

@@ -128,3 +128,19 @@ def test_order_of_vanishing_random_agreement():
             places = [rng.choice(subs) for _ in range(rng.randint(1, 3))]
             r, cross = order_of_vanishing(chi, places)
             assert r == cross >= 0 or chi.degree_int() == 0
+
+
+def test_direct_sum_order_is_the_lcm_of_orders():
+    # orders 3 and 4 under bounds of 4 each: the sum has order 12, which its
+    # constructor must certify
+    a = LocalDatum(CTX, ((make_root_of_unity(CTX, 3, 1),),), 7, order_bound=4)
+    b = LocalDatum(CTX, ((make_root_of_unity(CTX, 4, 1),),), 7, order_bound=4)
+    assert direct_sum_local(a, b).dim == 2
+
+
+def test_euler_suite_seed_2_passes():
+    from iwlab.report import SuiteConfig
+    from iwlab.suites import run_suite
+
+    report = run_suite(SuiteConfig("euler", 3, 20, 40, 2, None, 1))
+    assert {r.status for r in report.records} <= {"pass", "skip"}

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -202,3 +204,277 @@ def test_unit_detection():
     z = make_root_of_unity(CTX3, 9, 1)
     assert z.is_unit()
     assert not (z - 1).is_unit()
+
+
+# -- integer-coordinate representation against a Fraction reference ------------
+#
+# The reference below works on plain lists of Fractions (power-basis
+# coordinates) and shares no code with iwlab.padic.
+
+
+def _ref_polydiv_exact(f, g):
+    """f / g for integer polynomials, g monic, the division exact."""
+    f = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for i in range(len(f) - 1, len(g) - 2, -1):
+        c = f[i]
+        q[i - len(g) + 1] = c
+        for j, gj in enumerate(g):
+            f[i - len(g) + 1 + j] -= c * gj
+    assert not any(f)
+    return q
+
+
+_REF_PHI = {}
+
+
+def _ref_phi_poly(m):
+    """Phi_m, lowest degree first, from x^m - 1 = prod_{d | m} Phi_d."""
+    if m not in _REF_PHI:
+        f = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                f = _ref_polydiv_exact(f, _ref_phi_poly(d))
+        _REF_PHI[m] = f
+    return _REF_PHI[m]
+
+
+def _ref_reduce(poly, m):
+    phi = _ref_phi_poly(m)
+    deg = len(phi) - 1
+    r = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, deg - len(poly))
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        for j in range(deg + 1):
+            r[i - deg + j] -= c * phi[j]
+    return r[:deg]
+
+
+def _ref_mul(a, b, m):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(out, m)
+
+
+def _ref_embed(a, m, big):
+    acc = [Fraction(0)] * big
+    for i, c in enumerate(a):
+        acc[i * (big // m)] += c
+    return _ref_reduce(acc, big)
+
+
+def _ref_vp(q, p):
+    if q == 0:
+        return None
+    v, n, d = 0, q.numerator, q.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _ref_floor(a, p):
+    return min(_ref_vp(c, p) for c in a if c != 0)
+
+
+def _ref_integral(a, p):
+    return all(c.denominator % p != 0 for c in a)
+
+
+def _ref_reduce_mod(a, p, n):
+    out = []
+    for c in a:
+        k, rest = 0, c.denominator
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        mod = p ** (n + k)
+        out.append(Fraction(c.numerator * pow(rest, -1, mod) % mod, p**k))
+    return out
+
+
+def _ref_mul_matrix(a, m):
+    """Rows of the matrix of multiplication by a on the power basis."""
+    deg = len(a)
+    cols = []
+    for j in range(deg):
+        cols.append(_ref_reduce([Fraction(0)] * j + list(a), m))
+    return [[cols[j][i] for j in range(deg)] for i in range(deg)]
+
+
+def _ref_solve(rows, rhs):
+    """Gauss-Jordan over Q for a nonsingular square system."""
+    n = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [aug[i][n] for i in range(n)]
+
+
+def _ref_det(rows):
+    n = len(rows)
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _ref_min_valuation(a, m, p):
+    """t + j/e: x = p^t y with y integral and not in pO, and j the largest
+    j < e with y / pi^j integral, pi = 1 - zeta_{p^k}, e = phi(p^k)."""
+    if all(c == 0 for c in a):
+        return None
+    t = _ref_floor(a, p)
+    y = [c / Fraction(p) ** t for c in a]
+    pk = 1
+    while m % (pk * p) == 0:
+        pk *= p
+    e = len(_ref_phi_poly(pk)) - 1
+    j = 0
+    if e > 1:
+        pi = [Fraction(0)] * m
+        pi[0] += 1
+        pi[m // pk] -= 1
+        pi = _ref_reduce(pi, m)
+        one = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+        pi_inv = _ref_solve(_ref_mul_matrix(pi, m), one)
+        while j < e - 1:
+            z = _ref_mul(y, pi_inv, m)
+            if not _ref_integral(z, p):
+                break
+            y, j = z, j + 1
+    return t + Fraction(j, e)
+
+
+# (p, m) with Phi_m irreducible over Q_p: there min_valuation = v_p(norm) / phi(m)
+_FIELDS = {(2, 3), (2, 4), (2, 9), (2, 12), (2, 27), (3, 3), (3, 4), (3, 9), (3, 12), (3, 27), (5, 3), (5, 9), (5, 27)}
+
+
+def _rand_coeffs(rng, p, m):
+    """Fractions whose denominators mix powers of p with a prime other than p."""
+    q = 3 if p == 2 else 2
+    deg = len(_ref_phi_poly(m)) - 1
+    out = []
+    for _ in range(deg):
+        if rng.random() < 0.2:
+            out.append(Fraction(0))
+            continue
+        num = rng.randint(-(p**6), p**6) * p ** rng.choice([0, 0, 1, 3])
+        den = p ** rng.choice([0, 0, 1, 2]) * q ** rng.choice([0, 0, 1])
+        out.append(Fraction(num, den))
+    return out
+
+
+def _check_representation(x, ref):
+    assert x.coeffs == tuple(ref)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert all(type(c) is int for c in x.nums)
+
+
+def test_integer_coordinates_match_fraction_reference():
+    rng = random.Random(2024)
+    for p in (2, 3, 5):
+        ctx = PrecisionContext(p=p, cap_N=20, cap_D=8)
+        for m in (1, 2, 3, 4, 9, 12, 27):
+            for _ in range(6):
+                ra, rb = _rand_coeffs(rng, p, m), _rand_coeffs(rng, p, m)
+                pa, pb = rng.randint(1, 20), rng.randint(1, 20)
+                a = CycloPadic(ctx, m, ra, pa)
+                b = CycloPadic(ctx, m, rb, pb)
+                _check_representation(a, ra)
+                _check_representation(a + b, [x + y for x, y in zip(ra, rb)])
+                _check_representation(a - b, [x - y for x, y in zip(ra, rb)])
+                _check_representation(-a, [-x for x in ra])
+                assert (a + b).prec == (a - b).prec == min(pa, pb)
+                prod = a * b
+                _check_representation(prod, _ref_mul(ra, rb, m))
+                if any(ra) and any(rb):
+                    fa, fb = _ref_floor(ra, p), _ref_floor(rb, p)
+                    assert prod.prec == min(pa + fb, pb + fa, pa + pb)
+                big = m * rng.choice([2, 3])
+                _check_representation(a.embed(big), _ref_embed(ra, m, big))
+                # a rational scalar meets a value of conductor m
+                r = Fraction(rng.randint(-50, 50), rng.choice([1, p, 2 * p, 7]))
+                rs = ctx.make(r)
+                _check_representation(a * r, [x * r for x in ra])
+                _check_representation(rs + a, [ra[0] + r] + ra[1:])
+                n = rng.randint(1, pa)
+                _check_representation(a.reduce_mod(n), _ref_reduce_mod(ra, p, n))
+                assert a.reduce_mod(n).prec == n
+                assert a.is_integral() == _ref_integral(ra, p)
+                assert a.is_exact_zero() == (not any(ra))
+                if any(ra):
+                    assert a.coeff_floor() == _ref_floor(ra, p)
+                v = a.min_valuation()
+                assert v == _ref_min_valuation(ra, m, p)
+                if any(ra) and ((p, m) in _FIELDS or m <= 2):
+                    norm = _ref_det(_ref_mul_matrix(ra, m))
+                    assert v * len(ra) == _ref_vp(norm, p)
+                # equality is a congruence at the joint precision
+                k = rng.randint(0, 22)
+                rc = [x + p**k * y for x, y in zip(ra, _rand_coeffs(rng, p, m))]
+                c = CycloPadic(ctx, m, rc, rng.randint(1, 20))
+                diff = [x - y for x, y in zip(ra, rc)]
+                vd = _ref_min_valuation(diff, m, p)
+                assert a.equals(c) == (vd is None or vd >= min(a.prec, c.prec))
+
+
+def test_exact_zero_has_unit_denominator():
+    for m in (1, 4, 9):
+        deg = len(_ref_phi_poly(m)) - 1
+        x = CycloPadic(CTX3, m, [Fraction(5, 6)] * deg, 10)
+        zero = x - x
+        assert zero.is_exact_zero()
+        assert zero.den == 1 and zero.nums == (0,) * deg
+        assert CycloPadic(CTX3, m, [Fraction(0, 7)] * deg, 5).den == 1
+    assert CTX3.zero().den == 1
+
+
+def test_denominator_overflow_on_the_p_part_of_the_denominator():
+    ctx = PrecisionContext(p=3, cap_N=10, cap_D=10, max_den_exp=8)
+    assert ctx.make(Fraction(1, 3**8)).den == 3**8
+    assert ctx.make(Fraction(1, 2**40 * 3**8)).den == 2**40 * 3**8  # only the p-part counts
+    with pytest.raises(DenominatorOverflow):
+        ctx.make(Fraction(1, 3**9))
+    with pytest.raises(DenominatorOverflow):
+        CycloPadic(ctx, 9, [Fraction(1, 2 * 3**9)] + [0] * 5, 10)
+    x = ctx.make(Fraction(1, 3**5))
+    with pytest.raises(DenominatorOverflow):
+        x * x
+
+
+def test_scalar_json_round_trip_is_byte_identical():
+    from iwlab.serialize import scalar_from_json, scalar_to_json
+
+    rng = random.Random(99)
+    for p in (2, 3, 5):
+        ctx = PrecisionContext(p=p, cap_N=12, cap_D=8)
+        for m in (1, 3, 4, 9, 12):
+            ra = _rand_coeffs(rng, p, m)
+            x = CycloPadic(ctx, m, ra, rng.randint(1, 12))
+            doc = scalar_to_json(x)
+            expect = [[c.numerator, -min(_ref_vp(c, p) or 0, 0)] for c in _ref_reduce_mod(ra, p, x.prec)]
+            assert doc["coeffs"] == expect
+            text = json.dumps(doc, sort_keys=True)
+            assert json.dumps(scalar_to_json(scalar_from_json(ctx, json.loads(text))), sort_keys=True) == text

@@ -1,0 +1,27 @@
+"""Fixed-seed reports pinned by SHA-256, a regression gate for refactors of
+the exact layers: a refactor must leave these bytes unchanged.
+
+The hashes were recorded at commit bd5f936, before the integer-coordinate
+rewrite of CycloPadic, so they are the reports of the Fraction-coordinate
+implementation."""
+
+import hashlib
+
+import pytest
+
+from iwlab.report import SuiteConfig, emit_report
+from iwlab.suites import run_suite
+
+PINNED = [
+    (("series", 2, 10, 8, 0), "ae39e823ed48b2d2a9770ef810bb9e3ea365345632cf22a9beacfe7133bee00f"),
+    (("euler", 3, 20, 40, 0), "8b453c267bb37a0a4dbd4c0c528f33741e640bc95f2aabd9a3a04c1c9005ad71"),
+    (("ktheory", 3, 8, 10, 0), "3ae059152e4882bc71f381c791bcd596cb98d8d645c8b39a53bbb2678e397c8c"),
+    (("tower", 3, 8, 10, 0), "b8353a1941cae721a741be208f3b8113ad2e8837ce9b4adcdcb3083243109016"),
+]
+
+
+@pytest.mark.parametrize("point, digest", PINNED, ids=[f"{s}-p{p}-{n},{d}-seed{k}" for (s, p, n, d, k), _ in PINNED])
+def test_report_hash_is_pinned(point, digest):
+    suite, p, cap_n, cap_d, seed = point
+    text = emit_report(run_suite(SuiteConfig(suite, p, cap_n, cap_d, seed, None, 1)), "json")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -328,3 +328,42 @@ def test_xy_modules_counting_and_action():
             su = g.table[s][u]
             comp = tuple(y.perms[s][y.perms[u][i]] for i in range(y.rank))
             assert comp == y.perms[su]
+
+
+def test_level_is_built_once_under_threads():
+    import sys
+    import threading
+    import time
+
+    from iwlab.tower import LieTower
+
+    class SlowTower(LieTower):
+        builds = 0
+
+        def _build_level(self, n):
+            SlowTower.builds += 1
+            time.sleep(0.05)
+            return object()
+
+    tower = SlowTower(CTX, 2)
+    workers = 4  # more threads than cores
+    start = threading.Barrier(workers)
+    got = []
+
+    def fetch():
+        start.wait()
+        got.append(tower.level(1))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert SlowTower.builds == 1
+    assert len(got) == workers and all(level is got[0] for level in got)
