@@ -6,7 +6,9 @@ unpack with balanced digits, or with byte-aligned slots when no coefficient
 is negative) so the hot loops run at bigint speed; products of at most 36
 coefficient pairs use the schoolbook loop.  `reduce_cyclotomic`
 is the one reduction modulo Phi_m shared by scalars, series and the group
-algebra.
+algebra, and `packed_mul` is the one product of polynomials whose
+coefficients are coordinate vectors in Z[zeta_m] (series, distinguished
+polynomials, the cyclic group algebra).
 """
 
 from __future__ import annotations
@@ -189,3 +191,31 @@ def reduce_cyclotomic(a, m: int) -> list[int]:
                 r[base + j] -= c * cj
     del r[deg:]
     return r
+
+
+def packed_mul(a, b, m: int, count: int, pmod: int) -> list[tuple[int, ...]]:
+    """The first `count` coefficients of the product of two polynomials whose
+    coefficients are coordinate vectors in Z[zeta_m], each reduced modulo
+    Phi_m and then modulo pmod.
+
+    Each vector takes a slot of 2 phi(m) - 1 entries, wide enough for the
+    product of two vectors, so the whole product is one `polymul` (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker substitution",
+    JSC 2009)."""
+    phi = euler_phi(m)
+    stride = 2 * phi - 1
+    fa = [0] * (len(a) * stride)
+    for i, u in enumerate(a):
+        fa[i * stride : i * stride + phi] = u
+    fb = [0] * (len(b) * stride)
+    for i, u in enumerate(b):
+        fb[i * stride : i * stride + phi] = u
+    prod = polymul(fa, fb)
+    if phi == 1:  # rational coordinates: nothing to fold
+        prod += [0] * (count - len(prod))
+        return [(c % pmod,) for c in prod[:count]]
+    out = []
+    for k in range(count):
+        chunk = reduce_cyclotomic(prod[k * stride : k * stride + stride], m)
+        out.append(tuple(c % pmod for c in chunk))
+    return out

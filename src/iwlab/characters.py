@@ -11,11 +11,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from ._intpoly import factorize, is_prime
+from ._intpoly import factorize, is_prime, packed_mul
 from .groups import FiniteGroup, SubgroupDesc
-from .padic import CycloPadic, PrecisionContext, make_root_of_unity
+from .padic import CycloPadic, PrecisionContext, _split_p, make_root_of_unity
+from .series import _recoord
 from .snf import kernel_lattice, solve_integer
 
 DEFAULT_ORDER_BOUND = 200
@@ -109,12 +110,12 @@ _TABLE_LOCK = threading.RLock()  # one build per key, even when checks run in th
 
 
 def _character_table_cached(group, ctx, order_bound):
+    if group.n > order_bound:
+        raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
     with _TABLE_LOCK:
         key = (id(group), ctx.p, ctx.cap_N)
         if key in _TABLE_CACHE:
             return _TABLE_CACHE[key]
-        if group.n > order_bound:
-            raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
         if group.is_abelian():
             table = _abelian_table(group, ctx)
         else:
@@ -542,7 +543,7 @@ class GroupAlgebraElement:
 
 
 def _cyclic_log_table(group: FiniteGroup):
-    """(generator, log table) for a cyclic group, else None."""
+    """Discrete logarithms to a generator for a cyclic group, else None."""
     gen = next((x for x in range(group.n) if group.orders[x] == group.n), None)
     if gen is None:
         return None
@@ -551,61 +552,48 @@ def _cyclic_log_table(group: FiniteGroup):
     for k in range(group.n):
         logs[x] = k
         x = group.table[x][gen]
-    return gen, logs
+    return logs
 
 
 def _cyclic_convolve(a: GroupAlgebraElement, b: GroupAlgebraElement):
-    """Packed convolution for cyclic groups: flatten to one integer product in
-    log coordinates, fold modulo u^n - 1, reduce each cyclotomic slot."""
-    from math import lcm as _lcm
-
-    from ._intpoly import euler_phi, polymul, reduce_cyclotomic
-    from .series import _scalar_to_coords
-
-    g = a.group
-    data = _cyclic_log_table(g)
-    if data is None:
+    """Packed convolution for cyclic groups: one packed product in log
+    coordinates, folded modulo u^n - 1.  The p-parts of the denominators are
+    cleared by exact powers of p first, and the result carries the
+    precision a scalar product of these coefficients would."""
+    logs = _cyclic_log_table(a.group)
+    if logs is None:
         return None
-    _, logs = data
     ctx = a.ctx
     p = ctx.p
-    big = 1
-    prec = min(min(c.prec for c in a.coeffs), min(c.prec for c in b.coeffs))
-    for c in list(a.coeffs) + list(b.coeffs):
-        big = _lcm(big, c.m)
-    # factor out the p-part of the denominators so slots are integral
-    ka = max(max(0, -c.coeff_floor()) for c in a.coeffs)
-    kb = max(max(0, -c.coeff_floor()) for c in b.coeffs)
-    work = prec + ka + kb
-    pmod = p**work
-    try:
-        ca = [_scalar_to_coords((x * p**ka).reduce_mod(work), big, work) for x in a.coeffs]
-        cb = [_scalar_to_coords((x * p**kb).reduce_mod(work), big, work) for x in b.coeffs]
-    except (ValueError, ArithmeticError):
+    big = lcm(*(c.m for c in a.coeffs + b.coeffs))
+    pa = min(c.prec for c in a.coeffs)
+    pb = min(c.prec for c in b.coeffs)
+    fa = min(c.coeff_floor() for c in a.coeffs)  # an exact zero has floor _BIG
+    fb = min(c.coeff_floor() for c in b.coeffs)
+    ka, kb = max(0, -fa), max(0, -fb)
+    work = min(pa, pb) + ka + kb
+    if work <= 0:
         return None
-    phi = euler_phi(big)
-    stride = 2 * phi - 1
-    n = g.n
-    fa = [0] * (n * stride)
-    for elem, vec in enumerate(ca):
-        base = logs[elem] * stride
-        fa[base : base + phi] = list(vec)
-    fb = [0] * (n * stride)
-    for elem, vec in enumerate(cb):
-        base = logs[elem] * stride
-        fb[base : base + phi] = list(vec)
-    prod = polymul(fa, fb)
-    prod += [0] * (2 * n * stride - len(prod))
-    inv_log = [0] * n
+    pmod = p**work
+    n = a.group.n
+
+    def slots(x: GroupAlgebraElement, k: int):
+        # p^k * coefficient as integral coordinates, placed at its log index
+        out = [None] * n
+        for elem, c in enumerate(x.coeffs):
+            pk, rest = _split_p(c.den, p)
+            scale = p**k // pk * pow(rest, -1, pmod)
+            out[logs[elem]] = _recoord([v * scale for v in c.nums], c.m, big, pmod)
+        return out
+
+    prod = packed_mul(slots(a, ka), slots(b, kb), big, 2 * n, pmod)
+    prec = min(pa, pb, pa + fb, pb + fa, pa + pb)
+    den = p ** (ka + kb)
+    out = []
     for elem in range(n):
-        inv_log[logs[elem]] = elem
-    out = [None] * n
-    scale = p ** (ka + kb)
-    for k in range(n):
-        chunk = [x + y for x, y in zip(prod[k * stride : k * stride + stride], prod[(k + n) * stride : (k + n) * stride + stride])]
-        chunk = reduce_cyclotomic(chunk, big)
-        out[inv_log[k]] = CycloPadic(ctx, big, [c % pmod for c in chunk], prec, scale)
-    return GroupAlgebraElement(g, tuple(out))
+        k = logs[elem]
+        out.append(CycloPadic(ctx, big, [(x + y) % pmod for x, y in zip(prod[k], prod[k + n])], prec, den))
+    return GroupAlgebraElement(a.group, tuple(out))
 
 
 def algebra_one(group: FiniteGroup, ctx: PrecisionContext) -> GroupAlgebraElement:

@@ -313,9 +313,6 @@ class SubgroupDesc:
     def from_parent(self):
         return {g: i for i, g in enumerate(self.sorted_elements)}
 
-    def contains(self, g: int) -> bool:
-        return g in self.elements
-
 
 # -- constructors -------------------------------------------------------------------
 

@@ -36,9 +36,6 @@ class ProductRing:
     def elem_mul(self, a, b):
         return tuple(x * y for x, y in zip(a, b))
 
-    def elem_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def elem_inv(self, a):
         return tuple(linalg.exact_inverse(x) for x in a)
 
@@ -271,9 +268,6 @@ class RelK0Element:
             raise ValueError("an S-isomorphism needs equal componentwise ranks")
         if not self.ring.is_unit(det_of_map(self.map)):
             raise ValueError("the middle map must be invertible over S")
-
-    def with_note(self, note: str) -> "RelK0Element":
-        return RelK0Element(self.ring, self.source, self.map, self.target, self.provenance + (note,))
 
 
 def class_of_map(f: FreeModuleMap, note: str = "") -> RelK0Element:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, lcm
 
-from ._intpoly import cyclotomic_poly, divisors, euler_phi, is_prime, polymul, reduce_cyclotomic
+from ._intpoly import cyclotomic_poly, euler_phi, is_prime, polymul, reduce_cyclotomic
 
 _BIG = 10**9  # stands in for +infinity in integer precision arithmetic
 
@@ -67,9 +67,6 @@ class PrecisionContext:
 
     def one(self) -> "CycloPadic":
         return self.make(1)
-
-    def root_of_unity(self, m: int, j: int = 1) -> "CycloPadic":
-        return make_root_of_unity(self, m, j)
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -213,16 +210,6 @@ class CycloPadic:
         if sol is None:
             raise ValueError(f"value does not lie in conductor {small_m}")
         return CycloPadic(self.ctx, small_m, sol, self.prec)
-
-    def reduce_conductor(self) -> "CycloPadic":
-        for d in sorted(divisors(self.m), key=euler_phi):
-            if d == self.m:
-                break
-            try:
-                return self.project(d)
-            except ValueError:
-                continue
-        return self
 
     def _common(self, other: "CycloPadic") -> tuple["CycloPadic", "CycloPadic"]:
         if self.ctx.p != other.ctx.p:

@@ -2,8 +2,9 @@
 
 The internal coefficient format is a list of integer coordinate vectors on the
 power basis of the conductor, reduced mod p^prec; series equality is equality
-modulo (p^cap_N, T^cap_D).  Multiplication flattens the bivariate data with a
-stride wide enough for the cyclotomic overflow and runs one Kronecker product.
+modulo (p^cap_N, T^cap_D).  Series and distinguished polynomials multiply by
+`_intpoly.packed_mul`, the one packed product, and change conductor by
+`_recoord` without building scalars.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from ._intpoly import euler_phi, polymul, reduce_cyclotomic
+from ._intpoly import euler_phi, packed_mul, polymul, reduce_cyclotomic
 from .padic import CycloPadic, PrecisionContext, PrecisionError, _embed_nums
 
 
@@ -55,6 +56,25 @@ def _scalar_to_coords(x: CycloPadic, m: int, prec: int) -> tuple[int, ...]:
     return tuple(c * r % pmod for c in nums)
 
 
+def _recoord(u, m: int, big_m: int, pmod: int) -> tuple[int, ...]:
+    """The coordinates u in conductor m rewritten in conductor big_m (a
+    multiple of m) and reduced mod pmod = p^prec, which must exceed 1."""
+    if pmod <= 1:
+        raise PrecisionError("no precision left to reduce to")
+    if m != big_m:
+        u = _embed_nums(tuple(u), m, big_m)
+    return tuple(c % pmod for c in u)
+
+
+def _coords_of(ctx: PrecisionContext, coeffs, prec: int | None):
+    """(m, prec, coords): ints, Fractions or scalars as integral coordinates
+    over their common conductor m; prec defaults to cap_N."""
+    prec = ctx.cap_N if prec is None else prec
+    vals = [c if isinstance(c, CycloPadic) else ctx.make(c) for c in coeffs]
+    m = lcm(1, *(v.m for v in vals))
+    return m, prec, [_scalar_to_coords(v, m, prec) for v in vals]
+
+
 def _coords_to_scalar(ctx: PrecisionContext, m: int, coords, prec: int) -> CycloPadic:
     return CycloPadic(ctx, m, coords, prec, 1)
 
@@ -81,23 +101,7 @@ def _zone(m):
 
 def _ser_mul(a, b, m: int, pmod: int, out_len: int):
     """Truncated product of two coordinate series over conductor m."""
-    phi = euler_phi(m)
-    stride = 2 * phi - 1
-    fa = [0] * (len(a) * stride)
-    for i, u in enumerate(a):
-        fa[i * stride : i * stride + phi] = list(u)
-    fb = [0] * (len(b) * stride)
-    for i, u in enumerate(b):
-        fb[i * stride : i * stride + phi] = list(u)
-    prod = polymul(fa, fb)
-    if phi == 1:  # rational coordinates: nothing to fold
-        prod += [0] * (out_len - len(prod))
-        return [(c % pmod,) for c in prod[:out_len]]
-    out = []
-    for k in range(out_len):
-        chunk = reduce_cyclotomic(prod[k * stride : k * stride + stride], m)
-        out.append(tuple(c % pmod for c in chunk))
-    return out
+    return packed_mul(a, b, m, out_len, pmod)
 
 
 def _ser_is_zero(a):
@@ -152,12 +156,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_coeffs(cls, ctx: PrecisionContext, coeffs, prec: int | None = None):
-        prec = ctx.cap_N if prec is None else prec
-        vals = [c if isinstance(c, CycloPadic) else ctx.make(c) for c in coeffs]
-        m = 1
-        for v in vals:
-            m = lcm(m, v.m)
-        coords = [_scalar_to_coords(v, m, prec) for v in vals]
+        m, prec, coords = _coords_of(ctx, coeffs, prec)
         return cls(ctx, m, prec, coords)
 
     @classmethod
@@ -177,9 +176,6 @@ class TruncatedSeries:
     def coeff(self, i: int) -> CycloPadic:
         return _coords_to_scalar(self.ctx, self.m, self.coords[i], self.prec)
 
-    def coeff_list(self):
-        return [self.coeff(i) for i in range(self.ctx.cap_D)]
-
     def is_exact_zero(self) -> bool:
         return _ser_is_zero(self.coords)
 
@@ -192,25 +188,17 @@ class TruncatedSeries:
 
     # -- conductor/energy merging
 
-    def _embed(self, big_m: int) -> "TruncatedSeries":
-        if big_m == self.m:
+    def _embed(self, big_m: int, prec: int) -> "TruncatedSeries":
+        """The same series in conductor big_m, reduced mod p^prec (prec <= self.prec)."""
+        if big_m == self.m and prec == self.prec:
             return self
-        coords = [
-            _scalar_to_coords(self.coeff(i), big_m, self.prec)
-            for i in range(self.ctx.cap_D)
-        ]
-        return TruncatedSeries(self.ctx, big_m, self.prec, coords)
+        pmod = self.ctx.p**prec
+        return TruncatedSeries(self.ctx, big_m, prec, [_recoord(u, self.m, big_m, pmod) for u in self.coords])
 
     def _common(self, other: "TruncatedSeries"):
         big = lcm(self.m, other.m)
         prec = min(self.prec, other.prec)
-        a = self._embed(big)
-        b = other._embed(big)
-        if a.prec != prec:
-            a = TruncatedSeries(self.ctx, big, prec, [tuple(c % self.ctx.p**prec for c in u) for u in a.coords])
-        if b.prec != prec:
-            b = TruncatedSeries(self.ctx, big, prec, [tuple(c % self.ctx.p**prec for c in u) for u in b.coords])
-        return a, b
+        return self._embed(big, prec), other._embed(big, prec)
 
     # -- arithmetic
 
@@ -248,7 +236,7 @@ class TruncatedSeries:
     def scalar_mul(self, s) -> "TruncatedSeries":
         s = s if isinstance(s, CycloPadic) else self.ctx.make(s)
         big = lcm(self.m, s.m)
-        a = self._embed(big)
+        a = self._embed(big, self.prec)
         sc = _scalar_to_coords(s, big, a.prec)
         pmod = self.ctx.p**a.prec
         return TruncatedSeries(self.ctx, big, a.prec, [_zmul(u, sc, big, pmod) for u in a.coords])
@@ -321,12 +309,7 @@ class DistinguishedPolynomial:
 
     @classmethod
     def from_coeffs(cls, ctx: PrecisionContext, coeffs, prec: int | None = None, check: bool = True):
-        prec = ctx.cap_N if prec is None else prec
-        vals = [c if isinstance(c, CycloPadic) else ctx.make(c) for c in coeffs]
-        m = 1
-        for v in vals:
-            m = lcm(m, v.m)
-        coords = [_scalar_to_coords(v, m, prec) for v in vals]
+        m, prec, coords = _coords_of(ctx, coeffs, prec)
         while len(coords) > 1 and all(c == 0 for c in coords[-1]):
             coords.pop()
         return cls(ctx, m, prec, coords, check=check)
@@ -342,9 +325,6 @@ class DistinguishedPolynomial:
     def coeff(self, i: int) -> CycloPadic:
         return _coords_to_scalar(self.ctx, self.m, self.coords[i], self.prec)
 
-    def coeff_list(self):
-        return [self.coeff(i) for i in range(self.degree + 1)]
-
     def __repr__(self):
         return f"DistinguishedPolynomial(deg={self.degree}, m={self.m}, prec={self.prec})"
 
@@ -355,33 +335,15 @@ class DistinguishedPolynomial:
         big = lcm(self.m, other.m)
         prec = min(self.prec, other.prec)
         pmod = self.ctx.p**prec
-
-        def conv(poly):
-            out = []
-            for i in range(poly.degree + 1):
-                out.append(tuple(c % pmod for c in _scalar_to_coords(poly.coeff(i), big, prec)))
-            return out
-
-        return conv(self), conv(other), big, prec
+        a = [_recoord(u, self.m, big, pmod) for u in self.coords]
+        b = [_recoord(u, other.m, big, pmod) for u in other.coords]
+        return a, b, big, prec
 
     def __mul__(self, other):
         if not isinstance(other, DistinguishedPolynomial):
             return NotImplemented
         a, b, big, prec = self._common(other)
-        pmod = self.ctx.p**prec
-        phi = euler_phi(big)
-        stride = 2 * phi - 1
-        fa = [0] * (len(a) * stride)
-        for i, u in enumerate(a):
-            fa[i * stride : i * stride + phi] = list(u)
-        fb = [0] * (len(b) * stride)
-        for i, u in enumerate(b):
-            fb[i * stride : i * stride + phi] = list(u)
-        prod = polymul(fa, fb)
-        out = []
-        for k in range(len(a) + len(b) - 1):
-            chunk = reduce_cyclotomic(prod[k * stride : k * stride + stride], big)
-            out.append(tuple(c % pmod for c in chunk))
+        out = packed_mul(a, b, big, len(a) + len(b) - 1, self.ctx.p**prec)
         return DistinguishedPolynomial(self.ctx, big, prec, out)
 
     def __pow__(self, n: int):
@@ -425,7 +387,7 @@ class DistinguishedPolynomial:
         pows = [_zone(big)]
         for _ in range(blk):
             pows.append(_zmul(pows[-1], xv, big, pmod))
-        coords = [tuple(c % pmod for c in _scalar_to_coords(self.coeff(i), big, prec)) for i in range(n)]
+        coords = [_recoord(u, self.m, big, pmod) for u in self.coords]
         acc = _zzero(big)
         top = ((n - 1) // blk) * blk
         for start in range(top, -1, -blk):
@@ -466,10 +428,6 @@ class SeriesQuotient:
     def __post_init__(self):
         if self.den.is_exact_zero():
             raise ZeroDivisionError("denominator indistinguishable from zero")
-
-    @classmethod
-    def from_series(cls, num: TruncatedSeries, den: TruncatedSeries) -> "SeriesQuotient":
-        return reduce_quotient(num, den)
 
     def equals(self, other: "SeriesQuotient") -> bool:
         # cross-multiplication equality, valid mod (p^cap_N, T^cap_D)
@@ -678,7 +636,7 @@ def _substitute(f: TruncatedSeries, a: CycloPadic) -> TruncatedSeries:
     am1 = _scalar_to_coords((a - 1).reduce_mod(prec), big, prec)
     D = ctx.cap_D
     acc = [_zzero(big)] * D
-    coeffs = [tuple(c % pmod for c in _scalar_to_coords(f.coeff(i), big, prec)) for i in range(D)]
+    coeffs = [_recoord(u, f.m, big, pmod) for u in f.coords]
     for i in range(D - 1, -1, -1):
         # acc <- acc * (a T + (a-1)) + c_i
         nxt = [_zzero(big)] * D
@@ -760,8 +718,10 @@ def _poly_quotient_normalise(ctx, num, den) -> PolyQuotient | None:
         return None
     g = _poly_gcd_field(ctx, num, den)
     if len(g) > 1:
-        num = _poly_exact_div_field(ctx, num, g)
-        den = _poly_exact_div_field(ctx, den, g)
+        parts = [_poly_divmod_field(ctx, f, g) for f in (num, den)]
+        if any(not c.is_exact_zero() for _, r in parts for c in r):
+            raise ValueError("division is not exact")
+        num, den = (_poly_trim(q) or [ctx.zero()] for q, _ in parts)
     lead = den[-1]
     inv = linalg.exact_inverse(lead)
     num = [c * inv for c in num]
@@ -777,26 +737,13 @@ def _poly_gcd_field(ctx, a, b):
         return a
     hi, lo = (a, b) if len(a) >= len(b) else (b, a)
     while lo:
-        rem = _poly_mod_field(ctx, hi, lo)
+        _, rem = _poly_divmod_field(ctx, hi, lo)
         hi, lo = lo, _poly_trim(rem)
     return hi
 
 
-def _poly_mod_field(ctx, a, b):
-    from . import linalg
-
-    r = list(a)
-    inv = linalg.exact_inverse(b[-1])
-    db = len(b) - 1
-    for i in range(len(r) - 1, db - 1, -1):
-        if not r[i].is_exact_zero():
-            c = r[i] * inv
-            for j in range(db + 1):
-                r[i - db + j] = r[i - db + j] - c * b[j]
-    return r[:db]
-
-
-def _poly_exact_div_field(ctx, a, b):
+def _poly_divmod_field(ctx, a, b):
+    """(q, r) with a = q * b + r and deg r < deg b, over the field."""
     from . import linalg
 
     r = list(a)
@@ -809,7 +756,7 @@ def _poly_exact_div_field(ctx, a, b):
             q[i - db] = c
             for j in range(db + 1):
                 r[i - db + j] = r[i - db + j] - c * b[j]
-    return _poly_trim(q) or [ctx.zero()]
+    return q, r[:db]
 
 
 def _check_interpolation(ctx, cand: PolyQuotient, points, values) -> bool:

@@ -183,6 +183,8 @@ def check_rank_stabilisation(ctx: PrecisionContext, rng, count: int = 50, n_top:
 
 def check_quotient_reduction(ctx: PrecisionContext, rng, count: int = 25):
     """reduce_quotient removes constructed common factors; omega_2/omega_1 = xi_2."""
+    if ctx.cap_D <= ctx.p**2:
+        raise SkipCheck("omega_2 has degree p^2, which does not fit below T^cap_D")
     o2, xi2 = cyclotomic_polys(ctx, 2)
     o1, _ = cyclotomic_polys(ctx, 1)
     q = reduce_quotient(o2.to_series(), o1.to_series())

@@ -2,6 +2,7 @@
 pass/fail line per criterion (the parametrized test ids are the lines; each
 test also prints a `[criterion] PASS` marker)."""
 
+import hashlib
 import random
 import time
 
@@ -135,7 +136,11 @@ def test_criterion_determinism():
     first = run_suite(cfg)
     first_elapsed = time.monotonic() - t0
     second = run_suite(cfg)
-    assert emit_report(first, "json") == emit_report(second, "json")
+    text = emit_report(first, "json")
+    assert text == emit_report(second, "json")
+    # the report of `iwlab all --seed 42`, recorded at commit a4964ab
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "c77821f5a7dddf7fe93572856a7621d88480912e419ccfd3306a7f18e2f3ec65"
     assert first.all_passed(), {r.id: r.witness for r in first.records if r.status == "fail"}
     assert first_elapsed < 300, f"full run took {first_elapsed:.0f}s"
     report_line("determinism")

@@ -5,6 +5,7 @@ import pytest
 
 from iwlab.characters import (
     Character,
+    _cyclic_convolve,
     algebra_one,
     character_kernel,
     character_table,
@@ -253,3 +254,29 @@ def test_conjugate_character():
     conj = conjugate_character(omega, a3, transposition)
     # conjugation by a transposition inverts the 3-cycle, swapping omega and its dual
     assert conj.equals(dual(omega))
+
+
+def test_order_bound_is_checked_on_a_cache_hit():
+    g = symmetric_group(4)
+    assert len(character_table(g, CTX)) == 5
+    with pytest.raises(ValueError):
+        character_table(g, CTX, order_bound=10)
+
+
+def test_cyclic_convolution_agrees_with_schoolbook_when_p_divides_the_order():
+    # 1/64 in the idempotents of C64 leaves the 2-adic product of cap_N = 8
+    # below zero precision; the packed product must not claim more
+    ctx = PrecisionContext(p=2, cap_N=8, cap_D=10)
+    g = cyclic_group(64)
+    table = character_table(g, ctx)
+    for i in (0, 1, 5):
+        e = idempotent(table[i])
+        fast = _cyclic_convolve(e, e)
+        slow = [ctx.zero()] * g.n
+        for x, cx in enumerate(e.coeffs):
+            for y, cy in enumerate(e.coeffs):
+                if not cx.is_exact_zero() and not cy.is_exact_zero():
+                    slow[g.table[x][y]] = slow[g.table[x][y]] + cx * cy
+        for f, s in zip(fast.coeffs, slow):
+            assert f.equals(s)
+            assert f.prec <= s.prec

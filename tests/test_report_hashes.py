@@ -17,6 +17,10 @@ PINNED = [
     (("euler", 3, 20, 40, 0), "8b453c267bb37a0a4dbd4c0c528f33741e640bc95f2aabd9a3a04c1c9005ad71"),
     (("ktheory", 3, 8, 10, 0), "3ae059152e4882bc71f381c791bcd596cb98d8d645c8b39a53bbb2678e397c8c"),
     (("tower", 3, 8, 10, 0), "b8353a1941cae721a741be208f3b8113ad2e8837ce9b4adcdcb3083243109016"),
+    # recorded at commit a4964ab, before the group-algebra product moved onto
+    # the shared packed product
+    (("chars", 3, 8, 10, 0), "f837b9dac51cf3c51f4ca96c19e31f1ff4a047d32b96c6cd1ccaf55f28dd5a73"),
+    (("brauer", 3, 8, 10, 0), "5b3005f01dfa78e00abf8bb0826e8fcb189d99ffedc91968956631f52603fec0"),
 ]
 
 

@@ -16,6 +16,7 @@ from iwlab.series import (
     substitute_twist,
     weierstrass_prepare,
 )
+from iwlab.suites import SkipCheck, check_quotient_reduction
 
 CTX3 = PrecisionContext(p=3, cap_N=20, cap_D=40)
 CTX5 = PrecisionContext(p=5, cap_N=20, cap_D=40)
@@ -253,3 +254,15 @@ def test_interpolate_detects_inconsistency():
 def test_interpolate_requires_enough_points():
     with pytest.raises(ValueError):
         interpolate_uniqueness(CTX3, [CTX3.make(3)], [CTX3.make(3)], 2)
+
+
+@pytest.mark.parametrize("p, cap_n, cap_d", [(7, 20, 40), (3, 10, 8)])
+def test_quotient_reduction_skips_when_omega_2_does_not_fit(p, cap_n, cap_d):
+    ctx = PrecisionContext(p=p, cap_N=cap_n, cap_D=cap_d)
+    with pytest.raises(SkipCheck):
+        check_quotient_reduction(ctx, random.Random(0))
+
+
+def test_quotient_reduction_runs_once_omega_2_fits():
+    ctx = PrecisionContext(p=3, cap_N=10, cap_D=10)
+    assert check_quotient_reduction(ctx, random.Random(0)) == {"count": 25}
