@@ -7,7 +7,6 @@ characters from elementary subgroups.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -106,26 +105,24 @@ def character_table(group: FiniteGroup, ctx: PrecisionContext, order_bound: int 
 
 
 _TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.RLock()  # one build per key, even when checks run in threads
 
 
 def _character_table_cached(group, ctx, order_bound):
     if group.n > order_bound:
         raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
-    with _TABLE_LOCK:
-        key = (id(group), ctx.p, ctx.cap_N)
-        if key in _TABLE_CACHE:
-            return _TABLE_CACHE[key]
-        if group.is_abelian():
-            table = _abelian_table(group, ctx)
-        else:
-            table = _dixon_table(group, ctx)
-        total = sum(ch.degree_int() ** 2 for ch in table)
-        if total != group.n or len(table) != group.num_classes:
-            raise AssertionError("character table failed the degree check")
-        table = sorted(table, key=Character.sort_key)
-        _TABLE_CACHE[key] = table
-        return table
+    key = (id(group), ctx.p, ctx.cap_N)
+    if key in _TABLE_CACHE:
+        return _TABLE_CACHE[key]
+    if group.is_abelian():
+        table = _abelian_table(group, ctx)
+    else:
+        table = _dixon_table(group, ctx)
+    total = sum(ch.degree_int() ** 2 for ch in table)
+    if total != group.n or len(table) != group.num_classes:
+        raise AssertionError("character table failed the degree check")
+    table = sorted(table, key=Character.sort_key)
+    _TABLE_CACHE[key] = table
+    return table
 
 
 def _abelian_table(group: FiniteGroup, ctx: PrecisionContext):
@@ -309,29 +306,35 @@ def _action_matrix(mat, basis, ell):
     return coords
 
 
+def _rref_mod(rows, ncols, ell):
+    """Reduced row echelon form over F_ell, pivoting on the first ncols
+    columns: (rows, pivot columns)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(rows):
+            break
+        pr = next((i for i in range(row, len(rows)) if rows[i][col] % ell), None)
+        if pr is None:
+            continue
+        rows[row], rows[pr] = rows[pr], rows[row]
+        inv = pow(rows[row][col], -1, ell)
+        rows[row] = [x * inv % ell for x in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col] % ell:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[row])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def _solve_many_mod(basis_rows, images, ell):
     """Coordinates of each image in the span of basis_rows, mod ell."""
     k = len(basis_rows)
     r = len(basis_rows[0])
-    aug = [list(basis_rows[i]) + _unit_vec(k, i) for i in range(k)]
     # row-reduce [basis | I] so we can express the span's elements
-    pivots = []
-    row = 0
-    for col in range(r):
-        pr = next((i for i in range(row, k) if aug[i][col] % ell), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = pow(aug[row][col], -1, ell)
-        aug[row] = [x * inv % ell for x in aug[row]]
-        for i in range(k):
-            if i != row and aug[i][col] % ell:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % ell for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
+    aug, pivots = _rref_mod([list(b) + _unit_vec(k, i) for i, b in enumerate(basis_rows)], r, ell)
     out = []
     for img in images:
         rem = list(img)
@@ -350,22 +353,7 @@ def _solve_many_mod(basis_rows, images, ell):
 def _kernel_mod(mat, ell):
     """Right-kernel basis of a square matrix over F_ell."""
     k = len(mat)
-    rows = [row[:] for row in mat]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pr = next((i for i in range(row, k) if rows[i][col] % ell), None)
-        if pr is None:
-            continue
-        rows[row], rows[pr] = rows[pr], rows[row]
-        inv = pow(rows[row][col], -1, ell)
-        rows[row] = [x * inv % ell for x in rows[row]]
-        for i in range(k):
-            if i != row and rows[i][col] % ell:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[row])]
-        pivots.append(col)
-        row += 1
+    rows, pivots = _rref_mod(mat, k, ell)
     out = []
     free = [c for c in range(k) if c not in pivots]
     for fc in free:
@@ -745,15 +733,17 @@ def brauer_decompose(chi: Character, order_bound: int = DEFAULT_ORDER_BOUND):
     return [(z, witnesses[c][0], witnesses[c][1]) for c, z in enumerate(sol) if z]
 
 
-_COLUMN_CACHE: dict = {}
-
-
 def _induced_linear_columns(group, ctx, table, order_bound):
     """Coordinates (in the irreducible basis) of every Ind(lambda, H) with H
-    elementary up to conjugacy and lambda linear; deterministic order."""
-    cache_key = (id(group), ctx.p, ctx.cap_N)
-    if cache_key in _COLUMN_CACHE:
-        return _COLUMN_CACHE[cache_key]
+    elementary up to conjugacy and lambda linear; deterministic order.
+    Cached on the group per (p, cap_N)."""
+    cache = getattr(group, "_column_cache", None)
+    if cache is None:
+        cache = {}
+        group._column_cache = cache
+    cache_key = (ctx.p, ctx.cap_N)
+    if cache_key in cache:
+        return cache[cache_key]
     cols = []
     witnesses = []
     subs = all_elementary_subgroups(group)
@@ -781,7 +771,7 @@ def _induced_linear_columns(group, ctx, table, order_bound):
                 ind = induce(lam, sub)
                 cols.append(decompose(ind, table))
                 witnesses.append((sub, lam))
-    _COLUMN_CACHE[cache_key] = (cols, witnesses)
+    cache[cache_key] = (cols, witnesses)
     return cols, witnesses
 
 

@@ -25,7 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--corpus", default=None, help="path to an external corpus JSON")
     parser.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel checks (default 1)")
     return parser
 
 
@@ -35,7 +34,7 @@ def parse_config(argv) -> SuiteConfig:
         cap_n, cap_d = (int(x) for x in args.prec.split(","))
     except ValueError as exc:
         raise SystemExit(2) from exc
-    if cap_n < 1 or cap_d < 1 or args.jobs < 1:
+    if cap_n < 1 or cap_d < 1:
         raise SystemExit(2)
     return SuiteConfig(
         suite=args.suite,
@@ -44,7 +43,6 @@ def parse_config(argv) -> SuiteConfig:
         cap_d=cap_d,
         seed=args.seed,
         corpus_path=args.corpus,
-        jobs=args.jobs,
     ), args.fmt
 
 

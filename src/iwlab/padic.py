@@ -24,6 +24,7 @@ from functools import lru_cache
 from math import ceil, gcd, lcm
 
 from ._intpoly import cyclotomic_poly, euler_phi, is_prime, polymul, reduce_cyclotomic
+from .snf import solve_integer
 
 _BIG = 10**9  # stands in for +infinity in integer precision arithmetic
 
@@ -198,18 +199,14 @@ class CycloPadic:
             return self
         if self.m % small_m != 0:
             raise ValueError(f"{small_m} does not divide {self.m}")
-        cols = [
-            make_root_of_unity(self.ctx, small_m, 0).embed(self.m).coeffs
-        ]  # constant 1
-        base = make_root_of_unity(self.ctx, small_m, 1).embed(self.m)
-        pw = base
-        for _ in range(1, euler_phi(small_m)):
-            cols.append(pw.coeffs)
-            pw = pw * base
-        sol = _solve_rational(cols, self.coeffs)
-        if sol is None:
+        # column i: zeta_small^i in conductor m; the solution is integral
+        # because Z[zeta_m] meets Q(zeta_small) in Z[zeta_small]
+        k = euler_phi(small_m)
+        cols = [_embed_nums((0,) * i + (1,) + (0,) * (k - 1 - i), small_m, self.m) for i in range(k)]
+        y = solve_integer([list(row) for row in zip(*cols)], list(self.nums))
+        if y is None:
             raise ValueError(f"value does not lie in conductor {small_m}")
-        return CycloPadic(self.ctx, small_m, sol, self.prec)
+        return CycloPadic(self.ctx, small_m, y, self.prec, self.den)
 
     def _common(self, other: "CycloPadic") -> tuple["CycloPadic", "CycloPadic"]:
         if self.ctx.p != other.ctx.p:
@@ -533,36 +530,3 @@ def _is_order_unit(p: int, m: int, nums) -> bool:
     """Whether the integral element with numerators nums (over a p-free
     denominator) is a unit of the maximal order."""
     return _algebra_norm(nums, m) % p != 0
-
-
-def _solve_rational(cols: list[tuple[Fraction, ...]], target) -> list[Fraction] | None:
-    """Solve sum_j x_j cols[j] = target over Q; None if inconsistent."""
-    nrows = len(cols[0])
-    ncols = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(nrows)]
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row, col in zip(piv_rows, piv_cols):
-        sol[col] = aug[row][ncols]
-    return sol

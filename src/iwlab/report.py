@@ -29,7 +29,7 @@ class SuiteConfig:
     cap_d: int = 40
     seed: int = 0
     corpus_path: str | None = None
-    jobs: int = 1
+    jobs: int = 1  # kept for bench/worker.py; selects nothing, checks run in order
 
 
 @dataclass(frozen=True)

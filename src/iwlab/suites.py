@@ -1,15 +1,15 @@
 """Named verification suites: deterministic, seeded implementations of the
 acceptance checks, shared by the CLI and the test suite.
 
-Each check gets its own RNG derived from (seed, check id), so results do not
-depend on scheduling or on which other checks run."""
+Checks run one at a time, in order, in the calling thread.  Each check gets
+its own RNG derived from (seed, check id), so results do not depend on which
+other checks run or in what order."""
 
 from __future__ import annotations
 
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import linalg
 from ._oracles import snf_corank_of_omega_action, xi_int
@@ -1008,11 +1008,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check with a witness
             return CheckRecord(check_id, law, "fail", _crash_witness(exc))
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_one, checks))
-    else:
-        records = [run_one(entry) for entry in checks]
+    records = [run_one(entry) for entry in checks]
     records.sort(key=lambda r: r.id)
     report = Report(cfg.suite, cfg.p, cfg.cap_n, cfg.cap_d, cfg.seed, records)
     report.elapsed = time.monotonic() - start

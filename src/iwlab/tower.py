@@ -45,8 +45,8 @@ class LieTower:
         self.p = ctx.p
         self.n_max = n_max
         self._levels: dict[int, LevelData] = {}
-        # checks share a tower across threads: each level is built once, so
-        # every caller sees the same group object
+        # callers may share a tower across threads: each level is built once,
+        # so every caller sees the same group object its characters live on
         self._lock = threading.RLock()
 
     # subclass hooks: _build_level(n), _project_map(m, n)

@@ -44,6 +44,17 @@ def test_report_jobs_do_not_change_bytes():
     assert emit_report(run_suite(cfg1), "json") == emit_report(run_suite(cfg4), "json")
 
 
+def test_run_suite_starts_no_thread(monkeypatch):
+    import threading
+
+    def refuse(self):
+        raise AssertionError("run_suite started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = run_suite(SuiteConfig(suite="ktheory", p=3, cap_n=8, cap_d=10, seed=0, jobs=4))
+    assert report.records and all(r.status == "pass" for r in report.records)
+
+
 def test_text_format_mentions_counts(capsys):
     code, out = run_cli(["ktheory", "--prec", "8,10", "--seed", "3"], capsys)
     assert code == 0

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from iwlab._intpoly import euler_phi
 from iwlab.padic import (
     CycloPadic,
     DenominatorOverflow,
@@ -156,12 +157,19 @@ def test_embed_project_round_trip():
         back = big.project(5)
         assert back.equals(x)
         assert back.m == 5
+    # a new prime in the conductor, and denominators with and without p
+    for small, big_m in [(5, 20), (3, 12), (9, 36), (1, 7), (4, 12), (2, 6), (3, 15)]:
+        for den in (1, 2, 3, 9, 14):
+            nums = [rng.randint(-10, 10) for _ in range(euler_phi(small))]
+            x = CycloPadic(CTX3, small, nums, 12, den)
+            back = x.embed(big_m).project(small)
+            assert (back.m, back.nums, back.den, back.prec) == (small, x.nums, x.den, 12)
 
 
 def test_project_detects_foreign_values():
-    z20 = make_root_of_unity(CTX3, 20, 1)
-    with pytest.raises(ValueError):
-        z20.project(5)
+    for small, big_m in [(5, 20), (3, 12), (9, 36), (1, 7), (4, 12)]:
+        with pytest.raises(ValueError):
+            make_root_of_unity(CTX3, big_m, 1).project(small)
 
 
 def test_equality_is_mod_p_to_prec():
