@@ -617,9 +617,11 @@ def project_idempotent(chi: Character, normal: SubgroupDesc):
 
 
 def character_kernel(chi: Character) -> frozenset:
+    """Elements s with chi(s) = chi(1), compared exactly: at a small budget
+    chi(s) can be congruent to chi(1) mod p^prec off the kernel."""
     g = chi.group
     d = chi.values[g.class_index[g.identity]]
-    return frozenset(s for s in range(g.n) if chi.value(s).equals(d))
+    return frozenset(s for s in range(g.n) if (chi.value(s) - d).is_exact_zero())
 
 
 # -- elementary subgroups and constructive induction decomposition ------------------
@@ -797,7 +799,7 @@ def _values_key(values):
     out = []
     for v in values:
         r = v.reduce_mod()
-        out.append((r.m, tuple((c.numerator, c.denominator) for c in r.coeffs)))
+        out.append((r.m, r.nums, r.den))
     return tuple(out)
 
 

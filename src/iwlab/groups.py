@@ -256,21 +256,27 @@ class FiniteGroup:
             raise ValueError("not a subgroup")
         if not self.is_normal(nset):
             raise ValueError("subgroup is not normal")
-        cosets = {}
-        reps = []
-        proj = [None] * self.n
-        for a in range(self.n):
-            if proj[a] is None:
-                coset = frozenset(self.table[a][x] for x in nset)
-                idx = len(reps)
-                reps.append(min(coset))
-                for y in coset:
-                    proj[y] = idx
+        cosets, proj = self.left_cosets(nset)
+        reps = [min(coset) for coset in cosets]
         k = len(reps)
         table = [[proj[self.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
         q = FiniteGroup(table, name=f"{self.name}/N", labels=[self.labels[r] for r in reps], check=True)
-        cache[nset] = (q, tuple(proj))
+        cache[nset] = (q, proj)
         return cache[nset]
+
+    def left_cosets(self, elems):
+        """(cosets, index): the left cosets xH of the subgroup H = elems as
+        frozensets, in order of their least element, and index[x] = the
+        position of x's coset."""
+        index = [None] * self.n
+        cosets = []
+        for x in range(self.n):
+            if index[x] is None:
+                coset = frozenset(self.table[x][h] for h in elems)
+                for y in coset:
+                    index[y] = len(cosets)
+                cosets.append(coset)
+        return tuple(cosets), tuple(index)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.n})"

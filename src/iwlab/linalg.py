@@ -2,27 +2,23 @@
 
 Used on exact data (character values, representation matrices, interpolation
 systems), so inverses here bypass the precision-certification gate: the stored
-representative is the true value.  Pivots must be invertible in the coefficient
-algebra (nonzero norm); a matrix whose candidate pivots are all zero divisors
-falls back to cofactor expansion where a determinant is requested.
+representative is the true value, an element of the field Q(zeta_m).  Every
+nonzero element of a field is invertible, so a pivot is the first nonzero
+entry of its column.
 """
 
 from __future__ import annotations
 
-from .padic import CycloPadic, PrecisionContext, _algebra_norm, _field_inverse
+from .padic import CycloPadic, PrecisionContext, _field_inverse
 
 
 def is_invertible(x: CycloPadic) -> bool:
-    if x.is_exact_zero():
-        return False
-    return _algebra_norm(x.nums, x.m) != 0
+    return not x.is_exact_zero()
 
 
 def exact_inverse(x: CycloPadic) -> CycloPadic:
-    inv = _field_inverse(x.nums, x.den, x.m)
-    if inv is None:
-        raise ZeroDivisionError("zero divisor in coefficient algebra")
-    return CycloPadic(x.ctx, x.m, inv[0], x.prec, inv[1])
+    nums, den = _field_inverse(x.nums, x.den, x.m)
+    return CycloPadic(x.ctx, x.m, nums, x.prec, den)
 
 
 def mat_mul(a, b):
@@ -53,16 +49,8 @@ def rref(rows: list[list[CycloPadic]]):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if is_invertible(mat[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if is_invertible(mat[i][c])), None)
         if pr is None:
-            # no invertible entry; any nonzero zero-divisor here is a genuine
-            # degeneracy of the product algebra and is refused
-            if any(not mat[i][c].is_exact_zero() for i in range(r, nrows)):
-                raise ZeroDivisionError("column pivot is a zero divisor")
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = exact_inverse(mat[r][c])
@@ -117,15 +105,9 @@ def det(rows: list[list[CycloPadic]], ctx: PrecisionContext) -> CycloPadic:
     mat = [list(r) for r in rows]
     acc = ctx.one()
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if is_invertible(mat[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if is_invertible(mat[i][c])), None)
         if pr is None:
-            if all(mat[i][c].is_exact_zero() for i in range(c, n)):
-                return ctx.zero()
-            return _cofactor_det(mat, ctx)  # zero-divisor pivot: exact fallback
+            return ctx.zero()
         if pr != c:
             mat[c], mat[pr] = mat[pr], mat[c]
             acc = -acc
@@ -136,21 +118,6 @@ def det(rows: list[list[CycloPadic]], ctx: PrecisionContext) -> CycloPadic:
             if not mat[i][c].is_exact_zero():
                 f = mat[i][c] * inv
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return acc
-
-
-def _cofactor_det(mat, ctx) -> CycloPadic:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = ctx.zero()
-    sign = 1
-    for j in range(n):
-        if not mat[0][j].is_exact_zero():
-            minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            term = mat[0][j] * _cofactor_det(minor, ctx)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
     return acc
 
 

@@ -112,6 +112,9 @@ def _embed_nums(nums: tuple[int, ...], m: int, big_m: int) -> tuple[int, ...]:
 class CycloPadic:
     """An element of Q_p(zeta_m) (as the etale algebra Q_p[x]/Phi_m) mod p^prec.
 
+    The stored representative nums/den is an exact element of the field
+    Q(zeta_m), where every nonzero element is invertible; only valuations and
+    precision see the splitting of Phi_m over Q_p.
     `CycloPadic(ctx, m, coeffs, prec)` takes ints or Fractions; with `den`
     given, `coeffs` are integer numerators over that positive denominator."""
 
@@ -275,13 +278,11 @@ class CycloPadic:
             raise PrecisionError("valuation structure not certifiable (impure element)")
         if v >= self.prec:
             raise PrecisionError("element indistinguishable from zero at current precision")
-        inv = _field_inverse(self.nums, self.den, self.m)
-        if inv is None:
-            raise ZeroDivisionError("zero divisor in the coefficient algebra")
         new_prec = self.prec - 2 * ceil(max(v, 0))
         if new_prec <= 0:
             raise PrecisionError("precision exhausted by inversion")
-        return CycloPadic(self.ctx, self.m, inv[0], new_prec, inv[1])
+        nums, den = _field_inverse(self.nums, self.den, self.m)
+        return CycloPadic(self.ctx, self.m, nums, new_prec, den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -447,10 +448,7 @@ def _pi_inverse(p: int, m: int) -> tuple[tuple[int, ...], int]:
     acc = [0] * m
     acc[0] = 1
     acc[m // _split_p(m, p)[0]] = -1  # 1 - zeta_{p^k}
-    inv = _field_inverse(reduce_cyclotomic(acc, m), 1, m)
-    if inv is None:
-        raise AssertionError("pi must be invertible")
-    nums, den = inv
+    nums, den = _field_inverse(reduce_cyclotomic(acc, m), 1, m)
     g = gcd(den, *nums)
     return tuple(c // g for c in nums), den // g
 
@@ -503,16 +501,17 @@ def _algebra_norm(nums, m: int) -> int:
     return _bareiss(_mul_rows(nums, m), len(nums))
 
 
-def _field_inverse(nums, den: int, m: int) -> tuple[list[int], int] | None:
-    """(nums', den') of the inverse of nums/den, den' > 0; None for a zero
-    divisor.  Solves nums * y = den by fraction-free elimination: Cramer's
-    rule makes det * y integral, so back substitution divides exactly."""
+def _field_inverse(nums, den: int, m: int) -> tuple[list[int], int]:
+    """(nums', den') of the inverse of nums/den in the field Q(zeta_m), den' > 0.
+    Solves nums * y = den by fraction-free elimination: Cramer's rule makes
+    det * y integral, so back substitution divides exactly.  The determinant
+    is the norm, nonzero for every nonzero element of the field."""
     n = len(nums)
     rows = _mul_rows(nums, m)
     for i, row in enumerate(rows):
         row.append(den if i == 0 else 0)
     if _bareiss(rows, n) == 0:
-        return None
+        raise ZeroDivisionError("inverse of zero")
     d = rows[n - 1][n - 1]
     y = [0] * n
     for i in range(n - 1, -1, -1):

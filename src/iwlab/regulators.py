@@ -51,15 +51,7 @@ class RepresentationModule:
         return self.matrices[0][0][0].ctx
 
     def character(self) -> Character:
-        g = self.group
-        vals = []
-        for k in range(g.num_classes):
-            mat = self.matrices[g.class_rep(k)]
-            acc = mat[0][0]
-            for i in range(1, len(mat)):
-                acc = acc + mat[i][i]
-            vals.append(acc)
-        return Character(g, tuple(vals))
+        return _character_of(self.group, self.matrices)
 
     def direct_sum(self, other: "RepresentationModule") -> "RepresentationModule":
         if self.group is not other.group:
@@ -86,22 +78,46 @@ def _mat_equals(a, b) -> bool:
     return all(x.equals(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _character_of(group: FiniteGroup, mats) -> Character:
+    """Trace character of an action given by one matrix per group element."""
+    vals = []
+    for k in range(group.num_classes):
+        mat = mats[group.class_rep(k)]
+        acc = mat[0][0]
+        for i in range(1, len(mat)):
+            acc = acc + mat[i][i]
+        vals.append(acc)
+    return Character(group, tuple(vals))
+
+
+def _scalar_mats(int_mats, ctx: PrecisionContext) -> tuple:
+    return tuple(tuple(tuple(ctx.make(v) for v in row) for row in ints) for ints in int_mats)
+
+
+def _group_sum(ctx: PrecisionContext, coeffs, mats) -> tuple:
+    """sum_s coeffs[s] * mats[s] over the group elements s."""
+    n = len(mats[0])
+    acc = [[ctx.zero()] * n for _ in range(n)]
+    for c, mat in zip(coeffs, mats):
+        if c.is_exact_zero():
+            continue
+        for i in range(n):
+            row = mat[i]
+            for j in range(n):
+                if not row[j].is_exact_zero():
+                    acc[i][j] = acc[i][j] + c * row[j]
+    return tuple(tuple(row) for row in acc)
+
+
 def permutation_representation(module: PermutationModule, ctx: PrecisionContext) -> RepresentationModule:
-    mats = []
-    one, zero = ctx.one(), ctx.zero()
-    for s in range(module.group.n):
-        ints = module.action_matrix(s)
-        mats.append(tuple(tuple(one if v else zero for v in row) for row in ints))
-    return RepresentationModule(module.group, tuple(mats))
+    mats = _scalar_mats(map(module.action_matrix, range(module.group.n)), ctx)
+    return RepresentationModule(module.group, mats)
 
 
 def x_representation(module: PermutationModule, ctx: PrecisionContext) -> RepresentationModule:
     """Action on the augmentation kernel in the e_i - e_0 basis."""
-    mats = []
-    for s in range(module.group.n):
-        ints = module.x_action_matrix(s)
-        mats.append(tuple(tuple(ctx.make(v) for v in row) for row in ints))
-    return RepresentationModule(module.group, tuple(mats))
+    mats = _scalar_mats(map(module.x_action_matrix, range(module.group.n)), ctx)
+    return RepresentationModule(module.group, mats)
 
 
 def irreducible_representation(chi: Character, order_bound: int = 200) -> RepresentationModule:
@@ -145,28 +161,19 @@ def _monomial_realization(chi: Character, order_bound: int):
         for lam in htable:
             if lam.degree_int() != 1:
                 continue
-            if induce(lam, sub).equals(chi):
+            # compared exactly: induce divides by |H|, and at the precision
+            # left after that a wrong character can be congruent to chi
+            if all(v.is_exact_zero() for v in (induce(lam, sub) - chi).values):
                 return _induced_rep(lam, sub)
     return None
 
 
 def _induced_rep(lam: Character, sub: SubgroupDesc) -> RepresentationModule:
     g = sub.parent
-    ctx = lam.ctx
-    # left transversal, deterministic
-    reps = []
-    seen = set()
-    for x in range(g.n):
-        if x not in seen:
-            coset = {g.table[x][h] for h in sub.elements}
-            seen.update(coset)
-            reps.append(x)
+    cosets, coset_of = g.left_cosets(sub.elements)
+    reps = [min(cs) for cs in cosets]  # left transversal, deterministic
     k = len(reps)
-    coset_of = {}
-    for i, r in enumerate(reps):
-        for h in sub.elements:
-            coset_of[g.table[r][h]] = i
-    zero = ctx.zero()
+    zero = lam.ctx.zero()
     mats = []
     for s in range(g.n):
         mat = [[zero] * k for _ in range(k)]
@@ -183,70 +190,27 @@ def _permutation_summand_realization(chi: Character, order_bound: int):
     g = chi.group
     ctx = chi.ctx
     for elems in g.subgroup_classes:
-        sub = SubgroupDesc(g, elems)
-        # permutation character value = fixed cosets; multiplicity of chi must be 1
-        perm_mats = _coset_perm_mats(sub, ctx)
-        traces = []
-        for kcls in range(g.num_classes):
-            mat = perm_mats[g.class_rep(kcls)]
-            acc = mat[0][0]
-            for i in range(1, len(mat)):
-                acc = acc + mat[i][i]
-            traces.append(acc)
-        perm_char = Character(g, tuple(traces))
-        ip = inner_product(chi, perm_char)
+        # G permutes the cosets xH; chi must occur once in the permutation character
+        cosets, coset_of = g.left_cosets(elems)
+        perms = tuple(tuple(coset_of[g.table[s][min(cs)]] for cs in cosets) for s in range(g.n))
+        perm_mats = _scalar_mats(map(PermutationModule(g, cosets, perms).action_matrix, range(g.n)), ctx)
+        ip = inner_product(chi, _character_of(g, perm_mats))
         if ip.is_rational() and ip.rational_value() == 1:
-            proj = _idempotent_action(chi, perm_mats)
-            basis = linalg.column_space_basis(proj, ctx)
-            cols = [list(col) for col in basis]
-            bmat = [[cols[j][i] for j in range(len(cols))] for i in range(len(proj))]
-            mats = []
-            for s in range(g.n):
-                img = linalg.mat_mul(perm_mats[s], bmat)
-                coords = _coords_in_columns(bmat, img, ctx)
-                mats.append(tuple(tuple(row) for row in coords))
-            return RepresentationModule(g, tuple(mats))
+            mats = _on_isotypic_part(chi, perm_mats, perm_mats)
+            return RepresentationModule(g, tuple(tuple(tuple(row) for row in mat) for mat in mats))
     return None
 
 
-def _coset_perm_mats(sub: SubgroupDesc, ctx: PrecisionContext):
-    g = sub.parent
-    seen = set()
-    cosets = []
-    for x in range(g.n):
-        if x not in seen:
-            cs = frozenset(g.table[x][h] for h in sub.elements)
-            seen.update(cs)
-            cosets.append(cs)
-    index = {cs: i for i, cs in enumerate(cosets)}
-    one, zero = ctx.one(), ctx.zero()
-    mats = []
-    for s in range(g.n):
-        mat = [[zero] * len(cosets) for _ in range(len(cosets))]
-        for i, cs in enumerate(cosets):
-            img = frozenset(g.table[s][x] for x in cs)
-            mat[index[img]][i] = one
-        mats.append(mat)
-    return mats
-
-
-def _idempotent_action(chi: Character, mats):
+def _on_isotypic_part(chi: Character, mats, maps):
+    """Matrices of the equivariant maps on e(chi)M, M acted on by mats (one
+    matrix per group element), in the basis of the pivot columns of e(chi)."""
     g = chi.group
     ctx = chi.ctx
-    n = len(mats[0])
-    acc = [[ctx.zero()] * n for _ in range(n)]
     scale = Fraction(chi.degree_int(), g.n)
-    for s in range(g.n):
-        c = chi.value(g.inv[s]) * scale
-        if c.is_exact_zero():
-            continue
-        mat = mats[s]
-        for i in range(n):
-            row = mat[i]
-            for j in range(n):
-                if not row[j].is_exact_zero():
-                    acc[i][j] = acc[i][j] + c * row[j]
-    return acc
+    proj = _group_sum(ctx, [chi.value(g.inv[s]) * scale for s in range(g.n)], mats)
+    basis = linalg.column_space_basis(proj, ctx)
+    bmat = [[col[i] for col in basis] for i in range(len(proj))]
+    return [_coords_in_columns(bmat, linalg.mat_mul(f, bmat), ctx) for f in maps]
 
 
 def _coords_in_columns(bmat, img, ctx):
@@ -348,35 +312,18 @@ def regulator_det(problem: RegulatorProblem) -> CycloPadic:
 
 def det_on_isotypic_part(chi: Character, m: RepresentationModule, f) -> CycloPadic:
     """det of f restricted to e(chi) M; equals regulator^chi(1) when M = M2."""
-    ctx = chi.ctx
-    proj = _idempotent_action(chi, [ [list(r) for r in mat] for mat in m.matrices ])
-    basis = linalg.column_space_basis(proj, ctx)
-    if not basis:
-        return ctx.one()
-    bmat = [[basis[j][i] for j in range(len(basis))] for i in range(m.dim)]
-    img = linalg.mat_mul([list(r) for r in f], bmat)
-    coords = _coords_in_columns(bmat, img, ctx)
-    return linalg.det(coords, ctx)
+    (block,) = _on_isotypic_part(chi, m.matrices, [f])
+    return linalg.det(block, chi.ctx)
 
 
 def class_function_map(module_rep: RepresentationModule, coeffs) -> tuple:
     """Equivariant map sum_s c(class of s) rho(s); coeffs indexed by class."""
     g = module_rep.group
     ctx = module_rep.ctx
-    n = module_rep.dim
-    acc = [[ctx.zero()] * n for _ in range(n)]
-    for s in range(g.n):
-        c = coeffs[g.class_index[s]]
-        if isinstance(c, int):
-            c = ctx.make(c)
-        if c.is_exact_zero():
-            continue
-        mat = module_rep.matrices[s]
-        for i in range(n):
-            for j in range(n):
-                if not mat[i][j].is_exact_zero():
-                    acc[i][j] = acc[i][j] + c * mat[i][j]
-    return tuple(tuple(row) for row in acc)
+    coeffs = [ctx.make(c) for c in coeffs]
+    if len(coeffs) != g.num_classes:
+        raise ValueError("one coefficient per conjugacy class required")
+    return _group_sum(ctx, [coeffs[k] for k in g.class_index], module_rep.matrices)
 
 
 def regulator_layer_invariance(
@@ -402,33 +349,14 @@ def regulator_layer_invariance(
     x_m = x_representation(y_m, ctx)
     g_m = tower.level(level_m).group
     proj = tower.project_map(level_m, n)
-    coeffs = _expand_class_coeffs(g_m, class_coeffs_m, ctx)
-    f_m = class_function_map(x_m, coeffs)
+    f_m = class_function_map(x_m, class_coeffs_m)
     # the same sum, pushed through the level projection: pi f_m = f_n pi
     g_n = tower.level(n).group
-    f_n = [[ctx.zero()] * x_n.dim for _ in range(x_n.dim)]
-    for s in range(g_m.n):
-        c = coeffs[g_m.class_index[s]]
-        if c.is_exact_zero():
-            continue
-        mat = x_n.matrices[proj[s]]
-        for i in range(x_n.dim):
-            for j in range(x_n.dim):
-                if not mat[i][j].is_exact_zero():
-                    f_n[i][j] = f_n[i][j] + c * mat[i][j]
-    f_n = tuple(tuple(r) for r in f_n)
+    coeffs = [ctx.make(class_coeffs_m[k]) for k in g_m.class_index]
+    f_n = _group_sum(ctx, coeffs, [x_n.matrices[proj[s]] for s in range(g_m.n)])
     chi_m = chi.inflate_to(level_m)
     v_n = irreducible_representation(chi.char)
     v_m = irreducible_representation(chi_m.char)
     reg_n = regulator_det(RegulatorProblem(g_n, chi.char, v_n, x_n, x_n, f_n))
     reg_m = regulator_det(RegulatorProblem(g_m, chi_m.char, v_m, x_m, x_m, f_m))
     return reg_n.equals(reg_m)
-
-
-def _expand_class_coeffs(group: FiniteGroup, coeffs, ctx):
-    out = []
-    for c in coeffs:
-        out.append(ctx.make(c) if isinstance(c, (int, Fraction)) else c)
-    if len(out) != group.num_classes:
-        raise ValueError("one coefficient per conjugacy class required")
-    return out

@@ -405,26 +405,16 @@ def xy_modules(tower: LieTower, places, n: int):
     lv = tower.level(n)
     g = lv.group
     basis = []
+    blocks = []  # (offset in basis, least element of each coset, coset index)
     for pi, v in enumerate(places):
-        d = v.decomposition_at(n)
-        seen = set()
-        cosets = []
-        for x in range(g.n):
-            cs = frozenset(g.table[x][d0] for d0 in d)
-            if cs not in seen:
-                seen.add(cs)
-                cosets.append(cs)
-        cosets.sort(key=min)
+        cosets, coset_of = g.left_cosets(v.decomposition_at(n))
+        blocks.append((len(basis), [min(cs) for cs in cosets], coset_of))
         basis.extend((pi, cs) for cs in cosets)
-    index = {b: i for i, b in enumerate(basis)}
-    perms = []
-    for s in range(g.n):
-        perm = []
-        for pi, cs in basis:
-            img = frozenset(g.table[s][x] for x in cs)
-            perm.append(index[(pi, img)])
-        perms.append(tuple(perm))
-    y = PermutationModule(g, tuple(basis), tuple(perms))
+    perms = tuple(
+        tuple(off + coset_of[g.table[s][x]] for off, reps, coset_of in blocks for x in reps)
+        for s in range(g.n)
+    )
+    y = PermutationModule(g, tuple(basis), perms)
     aug = tuple(1 for _ in basis)
     x_rank = y.rank - 1
     return y, x_rank, aug

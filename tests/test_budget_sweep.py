@@ -1,0 +1,20 @@
+"""Small budgets must give pass or skip, never fail: a check that cannot
+certify its law at the given precision skips, and exact data (character
+values, representation matrices) must not depend on the budget at all.
+
+Covers the `chars` and `regulator` suites; `tower`, `ktheory` and `series`
+still record PrecisionError failures at these budgets."""
+
+import pytest
+
+from iwlab.report import SuiteConfig
+from iwlab.suites import run_suite
+
+POINTS = [(suite, p, n, d, 0) for p, n, d in ((3, 1, 1), (2, 2, 2)) for suite in ("chars", "regulator")]
+
+
+@pytest.mark.parametrize("point", POINTS, ids=[f"{s}-p{p}-{n},{d}-seed{k}" for s, p, n, d, k in POINTS])
+def test_small_budget_gives_only_pass_or_skip(point):
+    report = run_suite(SuiteConfig(*point))
+    bad = [(r.id, r.witness) for r in report.records if r.status not in ("pass", "skip")]
+    assert not bad

@@ -151,3 +151,18 @@ def test_crash_witness_names_type_and_innermost_iwlab_frame(monkeypatch):
     assert record.witness["error"] == repr(ValueError("order m must be positive"))
     module, line, function = record.witness["where"].split(":")
     assert (module, function) == ("iwlab.padic", "make_root_of_unity") and int(line) > 0
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "iwlab", "ktheory", "--prec", "8,10", "--seed", "3", "--format", "json"]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["summary"]["fail"] == 0

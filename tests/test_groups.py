@@ -142,3 +142,19 @@ def test_generators_property():
     gens = g.generators
     assert g.closure(gens) == frozenset(range(g.n))
     assert cyclic_group(1).generators == (0,)
+
+
+def test_left_cosets_order_index_and_partition():
+    for g in (symmetric_group(4), dihedral_group(4), quaternion_group(), abelian_group(2, 6)):
+        for h in g.all_subgroups:
+            cosets, index = g.left_cosets(h)
+            assert len(cosets) * len(h) == g.n
+            # least-element order, and each coset is xH for its least element x
+            least = [min(cs) for cs in cosets]
+            assert least == sorted(least)
+            for x, cs in zip(least, cosets):
+                assert cs == frozenset(g.table[x][y] for y in h)
+            # the cosets partition G, and the index names each element's coset
+            assert sorted(x for cs in cosets for x in cs) == list(range(g.n))
+            assert len(index) == g.n
+            assert all(x in cosets[index[x]] for x in range(g.n))

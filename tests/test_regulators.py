@@ -32,6 +32,19 @@ def test_irreducible_realizations_cover_corpus():
             assert rep.dim == chi.degree_int()
 
 
+def test_permutation_summand_realizations():
+    # the corpus characters are all monomial, so call the coset-permutation
+    # path directly: every irreducible of S3 and S4 is a multiplicity-one
+    # summand of some coset permutation module
+    from iwlab.regulators import _permutation_summand_realization
+
+    for g in (symmetric_group(3), symmetric_group(4)):
+        for chi in character_table(g, CTX):
+            rep = _permutation_summand_realization(chi, 200)
+            assert rep is not None and rep.dim == chi.degree_int()
+            assert rep.character().equals(chi)
+
+
 def test_hom_basis_dimension_irreducible_target():
     g = symmetric_group(3)
     two = next(ch for ch in character_table(g, CTX) if ch.degree_int() == 2)

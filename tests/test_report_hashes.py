@@ -21,6 +21,9 @@ PINNED = [
     # the shared packed product
     (("chars", 3, 8, 10, 0), "f837b9dac51cf3c51f4ca96c19e31f1ff4a047d32b96c6cd1ccaf55f28dd5a73"),
     (("brauer", 3, 8, 10, 0), "5b3005f01dfa78e00abf8bb0826e8fcb189d99ffedc91968956631f52603fec0"),
+    # recorded at commit 62481f4, before the representation layer kept one
+    # copy of each algorithm
+    (("regulator", 3, 8, 10, 0), "fd3ff0e34ca4a8779f065872d9a2c401ec788ef04dfdbb5b6961c23622526292"),
 ]
 
 
