@@ -7,11 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
+from ._intpoly import euler_phi, polymul, reduce_cyclotomic
 from .characters import Character, character_table, induce, inner_product
 from .groups import FiniteGroup, SubgroupDesc
-from .padic import CycloPadic, PrecisionContext
+from .padic import _BIG, CycloPadic, PrecisionContext, _embed_nums, _vp_int
 from .tower import ArtinCharacter, LieTower, PermutationModule, xy_modules
 
 
@@ -21,26 +24,47 @@ class KernelConditionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RepresentationModule:
-    """Explicit action matrices over the cyclotomic scalar field."""
+    """Explicit action matrices over the cyclotomic scalar field.
+
+    Construction checks the law A_a A_b = A_ab for every generator a and
+    every element b, entry by entry, as the congruence `CycloPadic.equals`
+    decides it on the `linalg.mat_mul` product: an entry passes when the
+    exact difference is zero or has coeff_floor at least the precision
+    `mat_mul` would give the product, joined with the target's.  The
+    products are taken on integer coordinates in one conductor."""
 
     group: FiniteGroup
     matrices: tuple  # one square matrix per group element
 
     def __post_init__(self):
-        g = self.group
-        if len(self.matrices) != g.n:
+        g, mats = self.group, self.matrices
+        if len(mats) != g.n:
             raise ValueError("one matrix per group element required")
         dim = self.dim
-        for mat in self.matrices:
+        for mat in mats:
             if len(mat) != dim or any(len(r) != dim for r in mat):
                 raise ValueError("ragged action matrix")
-        # the action respects a generating set of the multiplication table
+        big_m = lcm(*(x.m for mat in mats for row in mat for x in row))
+        phi = euler_phi(big_m)
+        coords = [_int_coords(mat, big_m, phi) for mat in mats]
         for a in g.generators:
+            rows_a, _, den_a = coords[a]
             for b in range(g.n):
-                left = linalg.mat_mul(self.matrices[a], self.matrices[b])
-                target = self.matrices[g.table[a][b]]
-                if not _mat_equals(left, target):
-                    raise ValueError("matrices do not satisfy the multiplication table")
+                _, cols_b, den_b = coords[b]
+                c = g.table[a][b]
+                rows_c, _, den_c = coords[c]
+                den_ab = den_a * den_b
+                for i, row in enumerate(rows_a):
+                    for j, col in enumerate(cols_b):
+                        if phi == 1:
+                            diff = (sum(map(mul, row, col)) * den_c - rows_c[i][j] * den_ab,)
+                        else:
+                            target = rows_c[i][j] or (0,) * phi
+                            diff = [u * den_c - v * den_ab for u, v in zip(_coord_dot(row, col, big_m), target)]
+                        if any(diff) and not _congruent(
+                            diff, den_ab * den_c, mats[a][i], [r[j] for r in mats[b]], mats[c][i][j]
+                        ):
+                            raise ValueError("matrices do not satisfy the multiplication table")
 
     @property
     def dim(self) -> int:
@@ -76,6 +100,38 @@ class RepresentationModule:
 
 def _mat_equals(a, b) -> bool:
     return all(x.equals(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _int_coords(mat, big_m: int, phi: int):
+    """(rows, columns, den): the entries of mat over one common denominator,
+    as integer numerators when phi(big_m) = 1, else as coordinate tuples in
+    conductor big_m with () for a zero entry."""
+    den = lcm(*(x.den for row in mat for x in row))
+    if phi == 1:
+        rows = [[x.nums[0] * (den // x.den) for x in row] for row in mat]
+    else:
+        rows = [
+            [tuple(c * (den // x.den) for c in _embed_nums(x.nums, x.m, big_m)) if any(x.nums) else () for x in row]
+            for row in mat
+        ]
+    return rows, list(zip(*rows)), den
+
+
+def _coord_dot(row, col, m: int) -> list[int]:
+    """sum_t row[t] * col[t] on coordinate tuples in conductor m: the polymul
+    products summed, then one reduction mod Phi_m."""
+    terms = [polymul(x, y) for x, y in zip(row, col) if x and y]
+    return reduce_cyclotomic([sum(cs) for cs in zip(*terms)] if terms else [0], m)
+
+
+def _congruent(diff, den, row, col, target: CycloPadic) -> bool:
+    """`CycloPadic.equals` of the `linalg.mat_mul` product of row and col with
+    target, given their nonzero exact difference diff / den in integer
+    coordinates.  coeff_floor is the same in every conductor; the product's
+    precision is the min over its terms, zero terms included."""
+    p = target.ctx.p
+    prec = min(min(x.prec + y.coeff_floor(), y.prec + x.coeff_floor(), x.prec + y.prec, _BIG) for x, y in zip(row, col))
+    return _vp_int(gcd(*diff), p) - _vp_int(den, p) >= min(prec, target.prec)
 
 
 def _character_of(group: FiniteGroup, mats) -> Character:

@@ -2,8 +2,9 @@
 certify its law at the given precision skips, and exact data (character
 values, representation matrices) must not depend on the budget at all.
 
-Covers the `chars` and `regulator` suites; `tower`, `ktheory` and `series`
-still record PrecisionError failures at these budgets."""
+Covers the `chars` and `regulator` suites, and `series/weierstrass-roundtrip`
+below cap_D = 8; `tower`, `ktheory` and the rest of `series` still record
+failures at these budgets."""
 
 import pytest
 
@@ -18,3 +19,13 @@ def test_small_budget_gives_only_pass_or_skip(point):
     report = run_suite(SuiteConfig(*point))
     bad = [(r.id, r.witness) for r in report.records if r.status not in ("pass", "skip")]
     assert not bad
+
+
+WEIERSTRASS_POINTS = [(3, 20, 7, 0), (3, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("point", WEIERSTRASS_POINTS, ids=[f"p{p}-{n},{d}-seed{k}" for p, n, d, k in WEIERSTRASS_POINTS])
+def test_weierstrass_roundtrip_skips_below_cap_d_8(point):
+    report = run_suite(SuiteConfig("series", *point))
+    (record,) = [r for r in report.records if r.id == "series/weierstrass-roundtrip"]
+    assert record.status == "skip" and "cap_D >= 8" in record.witness["reason"]

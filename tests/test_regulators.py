@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from iwlab import linalg
 from iwlab.characters import character_table, trivial_character
-from iwlab.groups import cyclic_group, quaternion_group, symmetric_group
-from iwlab.padic import PrecisionContext
+from iwlab.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
+from iwlab.padic import CycloPadic, PrecisionContext, make_root_of_unity
 from iwlab.regulators import (
     KernelConditionError,
     RegulatorProblem,
@@ -19,7 +20,7 @@ from iwlab.regulators import (
     regulator_layer_invariance,
     x_representation,
 )
-from iwlab.tower import ArtinCharacter, PlaceDatum, SplitTower, xy_modules
+from iwlab.tower import ArtinCharacter, PermutationModule, PlaceDatum, SplitTower, xy_modules
 
 CTX = PrecisionContext(p=3, cap_N=14, cap_D=10)
 
@@ -174,3 +175,106 @@ def test_layer_invariance_scalar_map_both_levels():
     # c * identity: class coefficients c at the identity class only
     coeffs = [3] + [0] * (t.level(1).group.num_classes - 1)
     assert regulator_layer_invariance(t, [v, w], chi, 1, coeffs)
+
+
+# -- the multiplication-table check of RepresentationModule ----------------------
+
+
+def _reference_law(group, mats) -> bool:
+    """The law as linalg.mat_mul and CycloPadic.equals decide it, over every
+    generator a and element b."""
+    for a in group.generators:
+        for b in range(group.n):
+            left = linalg.mat_mul(mats[a], mats[b])
+            target = mats[group.table[a][b]]
+            if not all(x.equals(y) for ra, rb in zip(left, target) for x, y in zip(ra, rb)):
+                return False
+    return True
+
+
+def _frozen(mats):
+    return tuple(tuple(tuple(row) for row in mat) for mat in mats)
+
+
+def _built(group, mats) -> bool:
+    try:
+        RepresentationModule(group, _frozen(mats))
+    except ValueError as exc:
+        assert str(exc) == "matrices do not satisfy the multiplication table"
+        return False
+    return True
+
+
+def test_broken_module_is_refused():
+    g = symmetric_group(3)
+    two = next(ch for ch in character_table(g, CTX) if ch.degree_int() == 2)
+    mats = [[list(row) for row in mat] for mat in irreducible_representation(two).matrices]
+    e, a = g.identity, g.generators[0]
+    swapped = list(mats)
+    swapped[e], swapped[a] = mats[a], mats[e]
+    assert not _built(g, swapped)
+    # one entry moved by p^k: refused below its precision, a congruence above
+    x = mats[e][0][0]
+    for k, ok in ((x.prec - 1, False), (x.prec + 1, True)):
+        moved = [[list(row) for row in mat] for mat in mats]
+        moved[e][0][0] = x + CTX.make(3**k)
+        assert _built(g, moved) is ok
+        assert _reference_law(g, moved) is ok
+
+
+def _seeded_modules(ctx):
+    """Realizations of every irreducible character, and the x-representations
+    of the coset permutation modules, of a few small groups."""
+    out = []
+    for g in (symmetric_group(3), quaternion_group(), cyclic_group(6), dihedral_group(5)):
+        out += [irreducible_representation(chi) for chi in character_table(g, ctx)]
+        for elems in g.subgroup_classes:
+            if len(elems) < g.n:
+                cosets, coset_of = g.left_cosets(elems)
+                perms = tuple(tuple(coset_of[g.table[s][min(cs)]] for cs in cosets) for s in range(g.n))
+                out.append(x_representation(PermutationModule(g, cosets, perms), ctx))
+    return out
+
+
+def _perturbed(rng, ctx, mats):
+    """mats conjugated by a diagonal of p-powers (exact, but with p-power
+    denominators), a few entries given lower precision, and most often one
+    entry moved by zeta * p^k, zeta of conductor 1, 3 or 4, k near its
+    precision."""
+    p, dim = ctx.p, len(mats[0])
+    exps = [rng.choice((0, 0, 1, 2)) for _ in range(dim)]
+    out = []
+    for mat in mats:
+        rows = []
+        for i, row in enumerate(mat):
+            new = []
+            for j, x in enumerate(row):
+                d = exps[i] - exps[j]
+                nums = tuple(c * p ** max(d, 0) for c in x.nums)
+                new.append(CycloPadic(ctx, x.m, nums, x.prec, x.den * p ** max(-d, 0)))
+            rows.append(new)
+        out.append(rows)
+    for _ in range(rng.randint(0, 3)):
+        s, i, j = rng.randrange(len(out)), rng.randrange(dim), rng.randrange(dim)
+        x = out[s][i][j]
+        out[s][i][j] = CycloPadic(ctx, x.m, x.nums, x.prec - rng.randint(1, 3), x.den)
+    if rng.random() < 0.75:
+        s, i, j = rng.randrange(len(out)), rng.randrange(dim), rng.randrange(dim)
+        x = out[s][i][j]
+        zeta = make_root_of_unity(ctx, rng.choice((1, 3, 4)), 1)
+        out[s][i][j] = x + zeta * ctx.make(p ** rng.randint(x.prec - 2, x.prec + 1))
+    return out
+
+
+def test_law_check_agrees_with_mat_mul_reference():
+    outcomes = Counter()
+    for p, cap_n in ((2, 8), (3, 6)):
+        ctx = PrecisionContext(p=p, cap_N=cap_n, cap_D=10)
+        rng = random.Random(f"law-check-{p}")
+        for module in _seeded_modules(ctx):
+            for _ in range(4):
+                mats = _perturbed(rng, ctx, module.matrices)
+                got = _built(module.group, mats)
+                assert got == _reference_law(module.group, mats)
+                outcomes[got] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20

@@ -24,6 +24,9 @@ PINNED = [
     # recorded at commit 62481f4, before the representation layer kept one
     # copy of each algorithm
     (("regulator", 3, 8, 10, 0), "fd3ff0e34ca4a8779f065872d9a2c401ec788ef04dfdbb5b6961c23622526292"),
+    # recorded at commit 7d36fd1, before the representation law was checked in
+    # integer coordinates; p=2, where the splitting of Phi_m differs from p=3
+    (("regulator", 2, 8, 10, 0), "3be233708596ee1eba93677838988a6f3800ea80819c621fbb44b6c4a85ab782"),
 ]
 
 
