@@ -3,8 +3,10 @@
 The internal coefficient format is a list of integer coordinate vectors on the
 power basis of the conductor, reduced mod p^prec; series equality is equality
 modulo (p^cap_N, T^cap_D).  Series and distinguished polynomials multiply by
-`_intpoly.packed_mul`, the one packed product, and change conductor by
-`_recoord` without building scalars.
+`_intpoly.packed_mul`, the one packed product, divide by a monic polynomial
+with `_monic_divmod`, the one long division, and change conductor by
+`_recoord` without building scalars.  Weierstrass preparation lifts
+f = u * T^d mod the radical to f = u * P by Newton iteration.
 """
 
 from __future__ import annotations
@@ -355,18 +357,7 @@ class DistinguishedPolynomial:
     def divmod(self, other: "DistinguishedPolynomial"):
         """Polynomial division by a monic divisor; exact at working precision."""
         a, b, big, prec = self._common(other)
-        pmod = self.ctx.p**prec
-        r = [list(u) for u in a]
-        db = len(b) - 1
-        q = [_zzero(big)] * max(0, len(r) - db)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = tuple(x % pmod for x in r[i])
-            if any(c):
-                q[i - db] = c
-                for j in range(db + 1):
-                    sub = _zmul(c, b[j], big, pmod)
-                    r[i - db + j] = [(x - y) % pmod for x, y in zip(r[i - db + j], sub)]
-        rem = [tuple(x % pmod for x in u) for u in r[:db]]
+        q, rem = _monic_divmod(a, b, big, self.ctx.p**prec)
         return q, rem, big, prec
 
     def exact_div(self, other: "DistinguishedPolynomial") -> "DistinguishedPolynomial":
@@ -491,69 +482,78 @@ def _scan_reduced_degree(coords, m: int, ctx: PrecisionContext, prec: int) -> in
     raise PrecisionError("no unit coefficient: reduced degree not certifiable")
 
 
-def _divide_by_reduced(fc, d: int, m: int, ctx: PrecisionContext, prec: int, width: int):
-    """Divide T^d by f (reduced degree d): T^d = q f + r, deg r < d.
-
-    Classical iteration; the low part of f sits in the maximal ideal, so the
-    tail of the residual gains a power of p per round."""
-    pmod = ctx.p**prec
-    a = list(fc[d:])[:width]
-    a += [_zzero(m)] * (width - len(a))
-    ainv = _ser_inverse(a, m, pmod, width, ctx, prec)
-    q = [_zzero(m)] * width
-    r = [_zzero(m)] * width
-    if d < width:
-        r[d] = _zone(m)
-    fpad = list(fc[:width]) + [_zzero(m)] * max(0, width - len(fc))
-    for _ in range(prec + 2):
-        tail = r[d:] + [_zzero(m)] * d
-        if _ser_is_zero(tail):
-            break
-        dq = _ser_mul(ainv, tail, m, pmod, width)
-        q = [_zadd(u, v, pmod) for u, v in zip(q, dq)]
-        delta = _ser_mul(dq, fpad, m, pmod, width)
-        r = [_zsub(u, v, pmod) for u, v in zip(r, delta)]
-    else:
-        raise PrecisionError("division iteration did not converge within the budget")
-    return q, r
+def _monic_divmod(a, b, m: int, pmod: int):
+    """(q, r) with a = q * b + r and len(r) = deg b: long division of a
+    coordinate polynomial by a monic one over Z[zeta_m]/pmod."""
+    phi = euler_phi(m)
+    db = len(b) - 1
+    r = [list(u) for u in a] + [[0] * phi for _ in range(db - len(a))]
+    q = [_zzero(m)] * max(0, len(a) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = tuple(x % pmod for x in r[i])
+        if any(c):
+            q[i - db] = c
+            for j in range(db):  # b[db] = 1 cancels r[i], which is not read again
+                row = r[i - db + j]
+                for k, y in enumerate(reduce_cyclotomic(polymul(c, b[j]), m)):
+                    row[k] -= y
+    return q, [tuple(x % pmod for x in u) for u in r[:db]]
 
 
-def _prepare_raw(coords, m: int, ctx: PrecisionContext, prec: int, width: int):
-    """(s, q, P_coords, nprec) with f = p^s * q^{-1} * P on raw coordinate arrays."""
+def _mulmod(a, b, P, m: int, pmod: int):
+    """a * b mod the monic P, as deg P coordinate vectors."""
+    d = len(P) - 1
+    return _monic_divmod(packed_mul(a, b, m, max(len(a) + len(b) - 1, d), pmod), P, m, pmod)[1]
+
+
+def _prepare_raw(coords, m: int, ctx: PrecisionContext, prec: int):
+    """(s, u, P, nprec) with f = p^s * u * P on raw coordinate arrays.
+
+    f / p^s, read as a polynomial, is congruent to u_0 * T^d modulo the
+    radical J of Z[zeta_m]/p^nprec.  Newton (Hensel) lifting of that
+    factorisation keeps W ~ u^-1 mod P and repeats
+        (u, R) = f divmod P;  W <- W (2 - u W) mod P;  P <- P + (R W mod P),
+    which squares the ideal holding R: at round k, R lies in J^(2^(k-1)).
+    J^(e * nprec) = 0 with e <= phi(m) the ramification index, so R = 0
+    within bit_length(nprec * phi(m)) + 1 rounds.
+    R = 0 certifies f = u * P mod p^nprec, and the preparation is unique, so
+    u is the polynomial unit and P the distinguished polynomial (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 9 and 15)."""
     if all(not any(u) for u in coords):
         raise PrecisionError("series indistinguishable from zero")
-    s = min(_vp_vec(u, ctx.p) for u in coords if any(u))
+    p = ctx.p
+    s = min(_vp_vec(u, p) for u in coords if any(u))
     nprec = prec - s
     if nprec <= 0:
         raise PrecisionError("uniformizer power exhausts the precision budget")
-    if s:
-        nmod = ctx.p**nprec
-        work = [tuple((c // ctx.p**s) % nmod for c in u) for u in coords]
-    else:
-        work = [tuple(u) for u in coords]
-    d = _scan_reduced_degree(work, m, ctx, nprec)
-    # the tail truncation in the division pollutes d top indices per round, so
-    # run wide enough that the reported window stays exact mod p^nprec
-    wide = width + (nprec + 2) * max(d, 1)
-    q, r = _divide_by_reduced(work, d, m, ctx, nprec, wide)
-    pm = ctx.p**nprec
-    pcoords = [tuple((-c) % pm for c in u) for u in r[:d]] + [_zone(m)]
-    return s, q[:width], pcoords, nprec
+    pm = p**nprec
+    f = [tuple((c // p**s) % pm for c in u) for u in coords]
+    while not any(f[-1]):
+        f.pop()
+    d = _scan_reduced_degree(f, m, ctx, nprec)
+    P = [_zzero(m)] * d + [_zone(m)]
+    w = _ser_inverse(f[d : 2 * d + 1], m, pm, d, ctx, nprec)[:d]
+    for _ in range((nprec * euler_phi(m)).bit_length() + 1):
+        u, r = _monic_divmod(f, P, m, pm)
+        if _ser_is_zero(r):
+            return s, u, P, nprec
+        e = [tuple((-c) % pm for c in x) for x in _mulmod(u, w, P, m, pm)]
+        e[0] = _zadd(e[0], _zadd(_zone(m), _zone(m), pm), pm)  # 2 - u W
+        w = _mulmod(w, e, P, m, pm)
+        P = [_zadd(x, y, pm) for x, y in zip(P, _mulmod(r, w, P, m, pm))] + [P[d]]
+    raise PrecisionError("Newton lifting did not converge within the budget")
 
 
 def weierstrass_prepare(f: TruncatedSeries) -> tuple[int, TruncatedSeries, DistinguishedPolynomial]:
     """Unique decomposition f = p^s * u * P with u a unit and P distinguished."""
     ctx = f.ctx
-    s, q, pcoords, nprec = _prepare_raw(list(f.coords), f.m, ctx, f.prec, ctx.cap_D)
-    P = DistinguishedPolynomial(ctx, f.m, nprec, pcoords)
-    u_series = TruncatedSeries(ctx, f.m, nprec, q).unit_inverse()
-    return s, u_series, P
+    s, u, pcoords, nprec = _prepare_raw(list(f.coords), f.m, ctx, f.prec)
+    return s, TruncatedSeries(ctx, f.m, nprec, u), DistinguishedPolynomial(ctx, f.m, nprec, pcoords)
 
 
 def _distinguished_part(coords, m: int, ctx: PrecisionContext, prec: int):
     """(s, P) of a finite coordinate polynomial; the unit is discarded."""
-    width = max(len(coords) + 1, 2)
-    s, _, pcoords, nprec = _prepare_raw(list(coords), m, ctx, prec, width)
+    s, _, pcoords, nprec = _prepare_raw(list(coords), m, ctx, prec)
     return s, DistinguishedPolynomial(ctx, m, nprec, pcoords)
 
 

@@ -110,6 +110,8 @@ def check_weierstrass_roundtrip(ctx: PrecisionContext, rng, count: int = 200):
     (s, P) exactly and u modulo precision."""
     if ctx.cap_D < 8:
         raise SkipCheck("P of degree up to 6 times a unit needs cap_D >= 8")
+    if ctx.cap_N < 4:
+        raise SkipCheck("p^s with s up to 3 times u * P needs cap_N >= 4")
     for k in range(count):
         s0 = rng.randint(0, 3)
         deg = rng.randint(1, 6)

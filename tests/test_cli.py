@@ -153,7 +153,7 @@ def test_crash_witness_names_type_and_innermost_iwlab_frame(monkeypatch):
     assert (module, function) == ("iwlab.padic", "make_root_of_unity") and int(line) > 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(args, timeout):
     import os
     import subprocess
     import sys
@@ -161,8 +161,20 @@ def test_python_dash_m_runs_the_cli():
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "iwlab", "ktheory", "--prec", "8,10", "--seed", "3", "--format", "json"]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    cmd = [sys.executable, "-m", "iwlab", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _run_module(["ktheory", "--prec", "8,10", "--seed", "3", "--format", "json"], timeout=120)
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["summary"]["fail"] == 0
+
+
+def test_series_at_deep_precision_is_bounded():
+    # Weierstrass preparation at cap_N = 400 takes a few Newton rounds
+    out = _run_module(["series", "--prec", "400,8", "--seed", "0", "--format", "json"], timeout=30)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert all(c["status"] in ("pass", "skip") for c in doc["checks"])

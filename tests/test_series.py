@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from iwlab.padic import PrecisionContext, PrecisionError, make_root_of_unity
+from iwlab._intpoly import euler_phi
+from iwlab.padic import CycloPadic, PrecisionContext, PrecisionError, make_root_of_unity
 from iwlab.series import (
     INFINITY,
     DistinguishedPolynomial,
@@ -120,6 +121,38 @@ def test_unit_times_distinguished_recovers_same_polynomial():
 def test_prepare_rejects_zero():
     with pytest.raises(PrecisionError):
         weierstrass_prepare(TruncatedSeries.zero(CTX3))
+
+
+@pytest.mark.parametrize("p, m", [(3, 3), (3, 9), (5, 5)])
+def test_prepare_round_trip_ramified_conductor(p, m):
+    # P's low coefficients are multiples of zeta_p - 1, of valuation 1/(p - 1)
+    # when the cofactor is a unit: the radical of Z[zeta_m]/p^N, not p
+    ctx = PrecisionContext(p=p, cap_N=12, cap_D=16)
+    rng = random.Random(m)
+    pi = make_root_of_unity(ctx, p, 1) - 1
+
+    def elt():
+        return CycloPadic(ctx, m, [rng.randrange(p**ctx.cap_N) for _ in range(euler_phi(m))], ctx.cap_N)
+
+    for _ in range(5):
+        d = rng.randint(1, 5)
+        p0 = DistinguishedPolynomial.from_coeffs(ctx, [pi * elt() for _ in range(d)] + [1])
+        u0 = TruncatedSeries.from_coeffs(ctx, [1 + pi * elt()] + [elt() for _ in range(ctx.cap_D - 2 - d)])
+        s, u, P = weierstrass_prepare(u0 * p0.to_series())
+        assert s == 0
+        assert P.equals(p0)
+        assert u.equals(u0)
+
+
+def test_prepare_round_trip_deep_precision():
+    ctx = PrecisionContext(p=3, cap_N=400, cap_D=8)
+    rng = random.Random(400)
+    p0 = DistinguishedPolynomial.from_coeffs(ctx, [3 * rng.randrange(3**399) for _ in range(4)] + [1])
+    u0 = rand_unit(ctx, rng, deg=3)
+    s, u, P = weierstrass_prepare((u0 * p0.to_series()).scalar_mul(9))
+    assert s == 2
+    assert P.equals(p0)
+    assert u.equals(u0)
 
 
 def test_reduce_quotient_removes_common_factor():
