@@ -14,13 +14,12 @@ from math import gcd, lcm
 
 
 class FiniteGroup:
-    def __init__(self, table, name: str = "G", labels=None, check: bool = True):
+    def __init__(self, table, name: str = "G", labels=None):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
         self.name = name
         self.labels = list(labels) if labels is not None else list(range(self.n))
-        if check:
-            self._verify()
+        self._verify()
         self.identity = self._find_identity()
         self.inv = self._build_inverses()
 
@@ -260,7 +259,7 @@ class FiniteGroup:
         reps = [min(coset) for coset in cosets]
         k = len(reps)
         table = [[proj[self.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-        q = FiniteGroup(table, name=f"{self.name}/N", labels=[self.labels[r] for r in reps], check=True)
+        q = FiniteGroup(table, name=f"{self.name}/N", labels=[self.labels[r] for r in reps])
         cache[nset] = (q, proj)
         return cache[nset]
 
@@ -310,7 +309,7 @@ class SubgroupDesc:
             for a in self.sorted_elements
         ]
         labels = [self.parent.labels[g] for g in self.sorted_elements]
-        return FiniteGroup(table, name=self.name or f"sub({self.parent.name})", labels=labels, check=True)
+        return FiniteGroup(table, name=self.name or f"sub({self.parent.name})", labels=labels)
 
     def to_parent(self, i: int) -> int:
         return self.sorted_elements[i]
@@ -324,7 +323,7 @@ class SubgroupDesc:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)], name=f"C{n}", check=True)
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)], name=f"C{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -335,7 +334,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
         for b in range(m)
     ]
     labels = [(g.labels[a], h.labels[b]) for a in range(n) for b in range(m)]
-    return FiniteGroup(table, name=name or f"{g.name}x{h.name}", labels=labels, check=True)
+    return FiniteGroup(table, name=name or f"{g.name}x{h.name}", labels=labels)
 
 
 def abelian_group(*orders: int) -> FiniteGroup:
@@ -357,7 +356,7 @@ def dihedral_group(n: int) -> FiniteGroup:
             return (i + j) % n + n * f
         return (i - j) % n + n * (1 - f)
 
-    return FiniteGroup([[mul(x, y) for y in range(size)] for x in range(size)], name=f"D{n}", check=True)
+    return FiniteGroup([[mul(x, y) for y in range(size)] for x in range(size)], name=f"D{n}")
 
 
 def dicyclic_group(m: int) -> FiniteGroup:
@@ -377,7 +376,7 @@ def dicyclic_group(m: int) -> FiniteGroup:
         return (i2 + m) % n2  # b^2 = a^m
 
     name = f"Q{size}" if (m & (m - 1)) == 0 else f"Dic{m}"
-    return FiniteGroup([[mul(x, y) for y in range(size)] for x in range(size)], name=name, check=True)
+    return FiniteGroup([[mul(x, y) for y in range(size)] for x in range(size)], name=name)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -393,7 +392,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    return FiniteGroup(table, name=f"S{n}", labels=perms, check=True)
+    return FiniteGroup(table, name=f"S{n}", labels=perms)
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -414,7 +413,7 @@ def alternating_group(n: int) -> FiniteGroup:
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    return FiniteGroup(table, name=f"A{n}", labels=perms, check=True)
+    return FiniteGroup(table, name=f"A{n}", labels=perms)
 
 
 def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action, name: str | None = None) -> FiniteGroup:
@@ -439,5 +438,4 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action, name: str
     return FiniteGroup(
         [[mul(u, v) for v in range(size)] for u in range(size)],
         name=name or f"{n_grp.name}:{h_grp.name}",
-        check=True,
     )

@@ -80,6 +80,20 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
+def _floor(nums, den: int, p: int) -> int:
+    """Exact min_i v_p(nums_i / den); _BIG for the zero vector."""
+    g = gcd(*nums)
+    if g == 0:
+        return _BIG
+    v = 0
+    while g % p == 0:
+        g //= p
+        v += 1
+    if den % p == 0:
+        v -= _vp_int(den, p)
+    return v
+
+
 def _split_p(n: int, p: int) -> tuple[int, int]:
     """(p^v, n / p^v) for the largest v with p^v | n, n != 0."""
     pv = 1
@@ -169,18 +183,7 @@ class CycloPadic:
 
     def coeff_floor(self) -> int:
         """min_i v_p(coeff_i): an exact lower bound for the valuation."""
-        g = gcd(*self.nums)
-        if g == 0:
-            return _BIG
-        p = self.ctx.p
-        v = 0
-        while g % p == 0:
-            g //= p
-            v += 1
-        den = self.den
-        if den != 1 and den % p == 0:
-            v -= _vp_int(den, p)
-        return v
+        return _floor(self.nums, self.den, self.ctx.p)
 
     def is_integral(self) -> bool:
         # power basis is a Z_p-basis of the maximal order

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from . import linalg
 from ._intpoly import euler_phi, polymul, reduce_cyclotomic
 from .characters import Character, character_table, induce, inner_product
 from .groups import FiniteGroup, SubgroupDesc
-from .padic import _BIG, CycloPadic, PrecisionContext, _embed_nums, _vp_int
+from .padic import _BIG, CycloPadic, PrecisionContext, _embed_nums, _floor
 from .tower import ArtinCharacter, LieTower, PermutationModule, xy_modules
 
 
@@ -131,7 +131,7 @@ def _congruent(diff, den, row, col, target: CycloPadic) -> bool:
     precision is the min over its terms, zero terms included."""
     p = target.ctx.p
     prec = min(min(x.prec + y.coeff_floor(), y.prec + x.coeff_floor(), x.prec + y.prec, _BIG) for x, y in zip(row, col))
-    return _vp_int(gcd(*diff), p) - _vp_int(den, p) >= min(prec, target.prec)
+    return _floor(diff, den, p) >= min(prec, target.prec)
 
 
 def _character_of(group: FiniteGroup, mats) -> Character:
@@ -191,14 +191,14 @@ def irreducible_representation(chi: Character, order_bound: int = 200) -> Repres
     mono = _monomial_realization(chi, order_bound)
     if mono is not None:
         return mono
-    perm = _permutation_summand_realization(chi, order_bound)
+    perm = _permutation_summand_realization(chi)
     if perm is not None:
         return perm
     table = character_table(g, ctx, order_bound)
     linears = [c for c in table if c.degree_int() == 1]
     for mu in linears[1:]:
         base = chi * mu.dual()
-        for cand in (lambda: _monomial_realization(base, order_bound), lambda: _permutation_summand_realization(base, order_bound)):
+        for cand in (lambda: _monomial_realization(base, order_bound), lambda: _permutation_summand_realization(base)):
             got = cand()
             if got is not None:
                 return got.tensor_linear(mu)
@@ -242,7 +242,7 @@ def _induced_rep(lam: Character, sub: SubgroupDesc) -> RepresentationModule:
     return RepresentationModule(g, tuple(mats))
 
 
-def _permutation_summand_realization(chi: Character, order_bound: int):
+def _permutation_summand_realization(chi: Character):
     g = chi.group
     ctx = chi.ctx
     for elems in g.subgroup_classes:

@@ -4,8 +4,9 @@ The internal coefficient format is a list of integer coordinate vectors on the
 power basis of the conductor, reduced mod p^prec; series equality is equality
 modulo (p^cap_N, T^cap_D).  Series and distinguished polynomials multiply by
 `_intpoly.packed_mul`, the one packed product, divide by a monic polynomial
-with `_monic_divmod`, the one long division, and change conductor by
-`_recoord` without building scalars.  Weierstrass preparation lifts
+with `_monic_divmod`, the one long division, evaluate at a scalar with
+`_horner`, the one Horner loop, and change conductor by `_recoord` without
+building scalars.  Weierstrass preparation lifts
 f = u * T^d mod the radical to f = u * P by Newton iteration.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from ._intpoly import euler_phi, packed_mul, polymul, reduce_cyclotomic
-from .padic import CycloPadic, PrecisionContext, PrecisionError, _embed_nums
+from .padic import CycloPadic, PrecisionContext, PrecisionError, _embed_nums, _floor
 
 
 class Infinity:
@@ -99,6 +100,28 @@ def _zzero(m):
 
 def _zone(m):
     return (1,) + (0,) * (euler_phi(m) - 1)
+
+
+def _horner(ctx: PrecisionContext, m: int, prec: int, coords, x: CycloPadic) -> CycloPadic:
+    """sum_i coords[i] * x^i for coordinates in conductor m at precision prec,
+    by Horner's rule on exact integer coordinates over the one conductor
+    lcm(m, x.m) and one denominator, with no reduction mod p^k.  The precision
+    follows the scalar product rule at every step, so the result is the
+    `CycloPadic` of the scalar loop acc = acc * x + c_i."""
+    if len(coords) == 1:
+        return CycloPadic(ctx, m, coords[0], prec, 1)
+    big = lcm(m, x.m)
+    if big != m:
+        coords = [_embed_nums(u, m, big) for u in coords]
+    xs = x.nums if x.m == big else _embed_nums(x.nums, x.m, big)
+    p, xden, xprec = ctx.p, x.den, x.prec
+    fx = _floor(xs, xden, p)
+    acc, den, acc_prec = coords[-1], 1, prec
+    for c in reversed(coords[:-1]):
+        acc_prec = min(acc_prec + fx, xprec + _floor(acc, den, p), acc_prec + xprec, prec)
+        den *= xden
+        acc = [a + den * b for a, b in zip(reduce_cyclotomic(polymul(acc, xs), big), c)]
+    return CycloPadic(ctx, big, acc, acc_prec, den)
 
 
 def _ser_mul(a, b, m: int, pmod: int, out_len: int):
@@ -261,13 +284,10 @@ class TruncatedSeries:
         v = x.min_valuation()
         if v <= 0:
             raise ValueError("evaluation point must have positive valuation")
-        acc = self.coeff(self.ctx.cap_D - 1)
-        for i in range(self.ctx.cap_D - 2, -1, -1):
-            acc = acc * x + self.coeff(i)
-        tail = int(self.ctx.cap_D * v)
-        prec = min(self.prec, tail)
+        prec = min(self.prec, int(self.ctx.cap_D * v))
         if prec <= 0:
             raise PrecisionError("evaluation exhausted the precision budget")
+        acc = _horner(self.ctx, self.m, self.prec, self.coords, x)
         return CycloPadic(acc.ctx, acc.m, acc.nums, min(acc.prec, prec), acc.den)
 
     def equals(self, other) -> bool:
@@ -287,13 +307,12 @@ class DistinguishedPolynomial:
 
     __slots__ = ("ctx", "m", "prec", "coords")
 
-    def __init__(self, ctx: PrecisionContext, m: int, prec: int, coords, check: bool = True):
+    def __init__(self, ctx: PrecisionContext, m: int, prec: int, coords):
         self.ctx = ctx
         self.m = m
         self.prec = prec
         self.coords = tuple(tuple(u) for u in coords)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not self.coords:
@@ -310,11 +329,11 @@ class DistinguishedPolynomial:
                 raise ValueError("non-leading coefficients must have positive valuation")
 
     @classmethod
-    def from_coeffs(cls, ctx: PrecisionContext, coeffs, prec: int | None = None, check: bool = True):
+    def from_coeffs(cls, ctx: PrecisionContext, coeffs, prec: int | None = None):
         m, prec, coords = _coords_of(ctx, coeffs, prec)
         while len(coords) > 1 and all(c == 0 for c in coords[-1]):
             coords.pop()
-        return cls(ctx, m, prec, coords, check=check)
+        return cls(ctx, m, prec, coords)
 
     @classmethod
     def one(cls, ctx: PrecisionContext):
@@ -367,34 +386,15 @@ class DistinguishedPolynomial:
         return DistinguishedPolynomial(self.ctx, big, prec, q)
 
     def evaluate(self, x: CycloPadic) -> CycloPadic:
-        """Paterson-Stockmeyer evaluation in integer coordinates."""
-        ctx = self.ctx
-        big = lcm(self.m, x.m)
-        prec = min(self.prec, x.prec)
-        pmod = ctx.p**prec
-        xv = _scalar_to_coords(x.reduce_mod(prec), big, prec)
-        n = self.degree + 1
-        blk = max(1, int(n**0.5))
-        pows = [_zone(big)]
-        for _ in range(blk):
-            pows.append(_zmul(pows[-1], xv, big, pmod))
-        coords = [_recoord(u, self.m, big, pmod) for u in self.coords]
-        acc = _zzero(big)
-        top = ((n - 1) // blk) * blk
-        for start in range(top, -1, -blk):
-            block = _zzero(big)
-            for j in range(min(blk, n - start)):
-                if any(coords[start + j]):
-                    block = _zadd(block, _zmul(coords[start + j], pows[j], big, pmod), pmod)
-            if start == top:
-                acc = block
-            else:
-                acc = _zadd(_zmul(acc, pows[blk], big, pmod), block, pmod)
-        return _coords_to_scalar(ctx, big, acc, prec)
+        """Value at x by Horner's rule (`_horner`)."""
+        return _horner(self.ctx, self.m, self.prec, self.coords, x)
 
     def equals(self, other) -> bool:
-        if isinstance(other, int):
-            other = DistinguishedPolynomial.from_coeffs(self.ctx, [other], check=False)
+        if isinstance(other, int):  # the constant polynomial, prec cap_N
+            if self.degree != 0:
+                return False
+            pmod = self.ctx.p ** min(self.prec, self.ctx.cap_N)
+            return _recoord(self.coords[0], self.m, self.m, pmod) == _recoord((other,), 1, self.m, pmod)
         if self.degree != other.degree:
             return False
         a, b, _, _ = self._common(other)
@@ -449,18 +449,6 @@ def cyclotomic_polys(ctx: PrecisionContext, n: int) -> tuple[DistinguishedPolyno
             coeffs[j] += comb(e, j)
     xi = DistinguishedPolynomial.from_coeffs(ctx, coeffs)
     return omega, xi
-
-
-def _vp_vec(u, p: int) -> int:
-    best = None
-    for c in u:
-        if c:
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
-            best = v if best is None else min(best, v)
-    return 10**9 if best is None else best
 
 
 def _scan_reduced_degree(coords, m: int, ctx: PrecisionContext, prec: int) -> int:
@@ -522,7 +510,7 @@ def _prepare_raw(coords, m: int, ctx: PrecisionContext, prec: int):
     if all(not any(u) for u in coords):
         raise PrecisionError("series indistinguishable from zero")
     p = ctx.p
-    s = min(_vp_vec(u, p) for u in coords if any(u))
+    s = min(_floor(u, 1, p) for u in coords)
     nprec = prec - s
     if nprec <= 0:
         raise PrecisionError("uniformizer power exhausts the precision budget")

@@ -21,10 +21,10 @@ from .characters import (
     Character,
     GroupAlgebraElement,
     character_table,
-    conjugate_character,
     decompose,
     idempotent,
     inflate,
+    inner_product,
     restrict,
 )
 from .groups import FiniteGroup, SubgroupDesc, cyclic_group, direct_product
@@ -200,33 +200,23 @@ class TypeWCharacter:
 
 
 def w_chi(tower: LieTower, chi: ArtinCharacter) -> int:
-    """Index of the Clifford stabiliser of a restriction constituent; a p-power."""
+    """Index of the Clifford stabiliser of a restriction constituent; a p-power.
+
+    G/H is cyclic, so res_H chi is multiplicity-free (Clifford's theorem;
+    Isaacs, Character Theory of Finite Groups, 6.2 and 11.22) and the index
+    is the number of its constituents, <res_H chi, res_H chi>_H."""
     if not chi.is_irreducible():
         raise ValueError("w_chi requires an irreducible character")
-    lv = tower.level(chi.level)
-    eta = _first_constituent(tower, chi)
-    g = lv.group
-    stab = sum(1 for s in range(g.n) if conjugate_character(eta, lv.h_sub, s).equals(eta))
-    w, rem = divmod(g.n, stab)
-    if rem:
-        raise AssertionError("stabiliser order must divide the group order")
-    k = w
+    res = restrict(chi.char, tower.level(chi.level).h_sub)
+    ip = inner_product(res, res)
+    if not ip.is_rational() or ip.rational_value().denominator != 1:
+        raise AssertionError("restriction norm must be an integer")
+    w = k = int(ip.rational_value())
     while k % tower.p == 0:
         k //= tower.p
     if k != 1:
         raise AssertionError("stabiliser index must be a power of p")
     return w
-
-
-def _first_constituent(tower: LieTower, chi: ArtinCharacter) -> Character:
-    lv = tower.level(chi.level)
-    res = restrict(chi.char, lv.h_sub)
-    htable = character_table(lv.h_sub.as_group, tower.ctx)
-    mults = decompose(res, htable)
-    for eta, m in zip(htable, mults):
-        if m > 0:
-            return eta
-    raise AssertionError("restriction has no constituent")
 
 
 def restriction_constituents(tower: LieTower, chi: ArtinCharacter):
@@ -249,12 +239,14 @@ def e_chi(tower: LieTower, chi: ArtinCharacter) -> GroupAlgebraElement:
 
 
 def w_equivalent(tower: LieTower, chi: ArtinCharacter, chi2: ArtinCharacter) -> bool:
-    """Equal restrictions to H (equivalently, equal idempotents e_chi)."""
+    """Equal restrictions to H (equivalently, equal idempotents e_chi),
+    compared exactly: at a small budget distinct values can be congruent."""
     m = max(chi.level, chi2.level)
     a = chi.inflate_to(m)
     b = chi2.inflate_to(m)
     lv = tower.level(m)
-    return restrict(a.char, lv.h_sub).equals(restrict(b.char, lv.h_sub))
+    ra, rb = restrict(a.char, lv.h_sub), restrict(b.char, lv.h_sub)
+    return all((x - y).is_exact_zero() for x, y in zip(ra.values, rb.values))
 
 
 def twisted_evaluate(tower: LieTower, q: SeriesQuotient, chi: ArtinCharacter, rho: TypeWCharacter):

@@ -2,9 +2,13 @@
 certify its law at the given precision skips, and exact data (character
 values, representation matrices) must not depend on the budget at all.
 
-Covers the `chars` and `regulator` suites, and `series/weierstrass-roundtrip`
-below cap_D = 8 and below cap_N = 4; `tower`, `ktheory` and the rest of
-`series` still record failures at these budgets."""
+Covers the `chars` and `regulator` suites at p=3 1,1 and p=2 2,2; `tower`
+below cap_D = p - 1, where no twist point certifies a digit, and at p=2 1,1,
+where the values of C2 are congruent mod 2; `series` below cap_N = 2 and where
+two interpolation points are congruent mod p^cap_N; and
+`series/weierstrass-roundtrip` below cap_D = 8 and below cap_N = 4.
+`ktheory/rec-class` still records failures at these budgets, and
+`brauer/resummation` at p=2 1,1."""
 
 import random
 
@@ -15,6 +19,8 @@ from iwlab.report import SuiteConfig
 from iwlab.suites import SkipCheck, check_weierstrass_roundtrip, run_suite
 
 POINTS = [(suite, p, n, d, 0) for p, n, d in ((3, 1, 1), (2, 2, 2)) for suite in ("chars", "regulator")]
+POINTS += [("tower", 3, 1, 1, 0), ("tower", 2, 1, 1, 0), ("tower", 5, 3, 3, 1), ("tower", 7, 4, 4, 2)]
+POINTS += [("series", 3, 1, 1, 0), ("series", 2, 1, 1, 0), ("series", 2, 3, 3, 0)]
 
 
 @pytest.mark.parametrize("point", POINTS, ids=[f"{s}-p{p}-{n},{d}-seed{k}" for s, p, n, d, k in POINTS])

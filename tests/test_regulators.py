@@ -41,7 +41,7 @@ def test_permutation_summand_realizations():
 
     for g in (symmetric_group(3), symmetric_group(4)):
         for chi in character_table(g, CTX):
-            rep = _permutation_summand_realization(chi, 200)
+            rep = _permutation_summand_realization(chi)
             assert rep is not None and rep.dim == chi.degree_int()
             assert rep.character().equals(chi)
 

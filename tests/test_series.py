@@ -9,6 +9,7 @@ from iwlab.series import (
     DistinguishedPolynomial,
     SeriesQuotient,
     TruncatedSeries,
+    _horner,
     cyclotomic_polys,
     evaluate_quotient,
     gcd_distinguished,
@@ -299,3 +300,74 @@ def test_quotient_reduction_skips_when_omega_2_does_not_fit(p, cap_n, cap_d):
 def test_quotient_reduction_runs_once_omega_2_fits():
     ctx = PrecisionContext(p=3, cap_N=10, cap_D=10)
     assert check_quotient_reduction(ctx, random.Random(0)) == {"count": 25}
+
+
+def _scalar_horner(f, x):
+    """The CycloPadic loop acc = acc * x + c_i over every coefficient below
+    T^cap_D, kept as the reference for `_horner`."""
+    acc = f.coeff(f.ctx.cap_D - 1)
+    for i in range(f.ctx.cap_D - 2, -1, -1):
+        acc = acc * x + f.coeff(i)
+    return acc
+
+
+def _scalar_evaluate(f, x):
+    """`TruncatedSeries.evaluate` as it ran on the scalar loop."""
+    if x.is_exact_zero():
+        return f.coeff(0)
+    v = x.min_valuation()
+    if v <= 0:
+        raise ValueError("evaluation point must have positive valuation")
+    acc = _scalar_horner(f, x)
+    prec = min(f.prec, int(f.ctx.cap_D * v))
+    if prec <= 0:
+        raise PrecisionError("evaluation exhausted the precision budget")
+    return CycloPadic(acc.ctx, acc.m, acc.nums, min(acc.prec, prec), acc.den)
+
+
+def _outcome(fn, *args):
+    try:
+        y = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return y.m, tuple(y.nums), y.den, y.prec
+
+
+def _random_series_and_point(rng):
+    """A series at a random budget and conductor up to 3p, and an integral
+    point: p^a * u / d with d prime to p, or c * (zeta_p - 1) / d; its
+    precision is often below the series precision."""
+    p = rng.choice([2, 3, 5, 7])
+    cap_n = rng.randint(1, 10)
+    cap_d = 1 if rng.random() < 0.15 else rng.randint(2, 12)
+    ctx = PrecisionContext(p=p, cap_N=cap_n, cap_D=cap_d)
+    m = rng.randint(1, 3 * p)
+    prec = rng.randint(1, cap_n)
+    coords = [[rng.randrange(p**prec) for _ in range(euler_phi(m))] for _ in range(rng.randint(0, cap_d))]
+    f = TruncatedSeries(ctx, m, prec, coords)
+    den = rng.choice([1, 1, rng.choice([q for q in (2, 3, 5, 7, 11) if q != p])])
+    x_prec = rng.randint(1, cap_n + 2)
+    if rng.random() < 0.6:
+        mx = rng.randint(1, 3 * p)
+        scale = p ** rng.randint(0, 2)
+        nums = [scale * rng.randint(-(p**2), p**2) for _ in range(euler_phi(mx))]
+        x = CycloPadic(ctx, mx, nums, x_prec, den)
+    else:
+        c = rng.randint(1, p**3)
+        x = (make_root_of_unity(ctx, p, rng.randrange(1, p)) - 1) * CycloPadic(ctx, 1, [c], x_prec, den)
+    return f, x
+
+
+def test_horner_reproduces_the_scalar_loop():
+    rng = random.Random(20221)
+    values = errors = short = 0
+    for _ in range(3000):
+        f, x = _random_series_and_point(rng)
+        got = _outcome(f.evaluate, x)
+        assert got == _outcome(_scalar_evaluate, f, x)
+        assert _outcome(_horner, f.ctx, f.m, f.prec, f.coords, x) == _outcome(_scalar_horner, f, x)
+        values += isinstance(got[0], int)
+        errors += not isinstance(got[0], int)
+        short += isinstance(got[0], int) and f.ctx.cap_D == 1
+    # every branch is exercised: values, both exceptions, and cap_D = 1
+    assert values > 1000 and errors > 300 and short > 50

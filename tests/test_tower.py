@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from iwlab.characters import character_table, algebra_one
+from iwlab.characters import algebra_one, character_table, conjugate_character, decompose, restrict
+from iwlab.corpus import corpus_towers
 from iwlab.groups import FiniteGroup, cyclic_group, dicyclic_group, semidirect_product, symmetric_group
 from iwlab.padic import PrecisionContext, make_root_of_unity
 from iwlab.series import (
@@ -107,6 +108,32 @@ def test_w_chi_dic3():
     # irrational restriction behaviour
     ws = sorted(w_chi(t, c) for c in twos)
     assert 2 in ws
+
+
+def _stabiliser_index(t, chi):
+    """[G : Stab_G(eta)] for the first constituent eta of res_H chi, counted
+    over every element of G with exact comparison of conjugate characters."""
+    lv = t.level(chi.level)
+    res = restrict(chi.char, lv.h_sub)
+    htable = character_table(lv.h_sub.as_group, t.ctx)
+    eta = next(e for e, m in zip(htable, decompose(res, htable)) if m > 0)
+    g = lv.group
+    stab = 0
+    for s in range(g.n):
+        conj = conjugate_character(eta, lv.h_sub, s)
+        stab += all((a - b).is_exact_zero() for a, b in zip(conj.values, eta.values))
+    assert g.n % stab == 0
+    return g.n // stab
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_w_chi_is_the_stabiliser_index_on_every_corpus_tower(p):
+    # w_chi is the restriction norm <res_H chi, res_H chi>_H, which equals the
+    # Clifford index because G/H is cyclic
+    for _, t in corpus_towers(PrecisionContext(p=p, cap_N=8, cap_D=10)):
+        for n in range(t.n_max + 1):
+            for chi in artin_chars(t, n):
+                assert w_chi(t, chi) == _stabiliser_index(t, chi)
 
 
 def test_e_chi_trivial_h():
