@@ -100,16 +100,12 @@ def trivial_character(group: FiniteGroup, ctx: PrecisionContext) -> Character:
 # -- character tables ------------------------------------------------------------
 
 
-def character_table(group: FiniteGroup, ctx: PrecisionContext, order_bound: int = DEFAULT_ORDER_BOUND):
-    return _character_table_cached(group, ctx, order_bound)
-
-
 _TABLE_CACHE: dict = {}
 
 
-def _character_table_cached(group, ctx, order_bound):
-    if group.n > order_bound:
-        raise ValueError(f"group order {group.n} exceeds the bound {order_bound}")
+def character_table(group: FiniteGroup, ctx: PrecisionContext):
+    if group.n > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"group order {group.n} exceeds the bound {DEFAULT_ORDER_BOUND}")
     key = (id(group), ctx.p, ctx.cap_N)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
@@ -675,14 +671,14 @@ def all_elementary_subgroups(group: FiniteGroup) -> list[SubgroupDesc]:
     return out
 
 
-def brauer_decompose(chi: Character, order_bound: int = DEFAULT_ORDER_BOUND):
+def brauer_decompose(chi: Character):
     """Integer decomposition chi = sum z_i Ind(lambda_i, H_i) over linear
     characters of elementary subgroups.  Deterministic: exact minimal support
     up to 3 terms, then an SNF particular solution reduced by kernel vectors.
     """
     group = chi.group
     ctx = chi.ctx
-    table = character_table(group, ctx, order_bound)
+    table = character_table(group, ctx)
     # irreducible inputs decompose as an indicator without any inner products
     key = _values_key(chi.values)
     target = None
@@ -693,7 +689,7 @@ def brauer_decompose(chi: Character, order_bound: int = DEFAULT_ORDER_BOUND):
             break
     if target is None:
         target = decompose(chi, table)
-    cols, witnesses = _induced_linear_columns(group, ctx, table, order_bound)
+    cols, witnesses = _induced_linear_columns(group, ctx, table)
 
     # support-1/2/3 exact search in preference order: minimal support first,
     # then minimal sum |z|, then the (-|H|, lambda index) order of the columns
@@ -735,7 +731,7 @@ def brauer_decompose(chi: Character, order_bound: int = DEFAULT_ORDER_BOUND):
     return [(z, witnesses[c][0], witnesses[c][1]) for c, z in enumerate(sol) if z]
 
 
-def _induced_linear_columns(group, ctx, table, order_bound):
+def _induced_linear_columns(group, ctx, table):
     """Coordinates (in the irreducible basis) of every Ind(lambda, H) with H
     elementary up to conjugacy and lambda linear; deterministic order.
     Cached on the group per (p, cap_N)."""
@@ -753,7 +749,7 @@ def _induced_linear_columns(group, ctx, table, order_bound):
     abelian = group.is_abelian()
     for sub in subs:
         h = sub.as_group
-        htable = character_table(h, ctx, order_bound)
+        htable = character_table(h, ctx)
         linears = [c for c in htable if c.degree_int() == 1]
         if abelian:
             # Frobenius reciprocity: <chi, Ind lam> = [res chi = lam] for linear chi

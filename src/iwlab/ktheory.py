@@ -85,9 +85,11 @@ class FreeModuleMap:
         """self o first."""
         if first.target.ranks != self.source.ranks:
             raise ValueError("composition shape mismatch")
+        zero = self.ring.ctx.zero()
+        # a component through rank 0 (b has no rows) composes to the zero matrix
         comps = tuple(
-            tuple(tuple(r) for r in linalg.mat_mul([list(r) for r in a], [list(r) for r in b]))
-            for a, b in zip(self.comps, first.comps)
+            tuple(tuple(r) for r in linalg.mat_mul(a, b)) if b else tuple((zero,) * n for _ in a)
+            for a, b, n in zip(self.comps, first.comps, first.source.ranks)
         )
         return FreeModuleMap(self.ring, first.source, self.target, comps)
 
@@ -345,6 +347,8 @@ class TrivializedComplex:
                                 raise ValueError("differentials must be integral (over R)")
                 if i + 1 in self.diffs:
                     for c in range(self.ring.k):
+                        if self.rank(i + 1, c) == 0:  # d o d factors through zero
+                            continue
                         prod = linalg.mat_mul(
                             [list(r) for r in self.diffs[i + 1][c]], [list(r) for r in d0[c]]
                         )

@@ -5,11 +5,25 @@ systems), so inverses here bypass the precision-certification gate: the stored
 representative is the true value, an element of the field Q(zeta_m).  Every
 nonzero element of a field is invertible, so a pivot is the first nonzero
 entry of its column.
+
+`mat_mul` is the one matrix product.  An entry lives in the conductor lcm of
+its row and its column.  Each row of the left factor and each column of the
+right factor is converted once per entry conductor to integer coordinates
+over one denominator (`_lift`), and each entry is built as one `CycloPadic`:
+the `polymul` products summed with one reduction mod Phi_m (`_dots`).  The
+entry keeps the precision of the scalar loop acc = acc + a[i][t] * b[t][j]:
+the min over all terms, zero terms included, of the product precision
+min(pa + fb, pb + fa, pa + pb), with pa, pb the precisions and fa, fb the
+coefficient floors of the two factors (`_dot_prec`).
 """
 
 from __future__ import annotations
 
-from .padic import CycloPadic, PrecisionContext, _field_inverse
+from math import lcm
+from operator import mul
+
+from ._intpoly import euler_phi, polymul, reduce_cyclotomic
+from .padic import _BIG, CycloPadic, PrecisionContext, _embed_nums, _field_inverse
 
 
 def is_invertible(x: CycloPadic) -> bool:
@@ -22,18 +36,77 @@ def exact_inverse(x: CycloPadic) -> CycloPadic:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(r) == k for r in a)
+    """The product a b (see the module docstring).  The inner dimension must
+    be positive: an n x 0 times 0 x m product is a zero matrix whose shape
+    only the caller knows."""
+    if not b:
+        raise ValueError("inner dimension 0: the zero product takes its shape from the caller")
+    assert all(len(r) == len(b) for r in a)
+    cols = list(zip(*b))
+    col_pfs = [_prec_floors(col) for col in cols]
+    groups = {}  # column conductor -> indices of those columns
+    for j, col in enumerate(cols):
+        groups.setdefault(lcm(*(x.m for x in col)), []).append(j)
+    lifted = {}  # (entry conductor, column conductor) -> _lift of those columns
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        row_m, row_pf, out_row = lcm(*(x.m for x in row)), _prec_floors(row), [None] * len(cols)
+        for col_m, js in groups.items():
+            m = lcm(row_m, col_m)
+            (u,), du = _lift([row], m)
+            vs, dv = lifted.get((m, col_m)) or lifted.setdefault((m, col_m), _lift([cols[j] for j in js], m))
+            for j, nums in zip(js, _dots(u, vs, m)):
+                out_row[j] = CycloPadic(row[0].ctx, m, nums, _dot_prec(row_pf, col_pfs[j]), du * dv)
+        out.append(out_row)
     return out
+
+
+def _lift(vecs, m: int):
+    """(nums, den): the scalars of vecs, their conductors dividing m, over
+    their least common denominator, per vector: an integer numerator per
+    scalar when phi(m) = 1, else a coordinate tuple in conductor m, with ()
+    for a zero."""
+    den = lcm(*(x.den for vec in vecs for x in vec))
+    if euler_phi(m) == 1:
+        return [[x.nums[0] * (den // x.den) for x in vec] for vec in vecs], den
+    return [[_scaled(x, den // x.den, m) if any(x.nums) else () for x in vec] for vec in vecs], den
+
+
+def _scaled(x: CycloPadic, s: int, m: int) -> tuple[int, ...]:
+    nums = x.nums if x.m == m else _embed_nums(x.nums, x.m, m)
+    return nums if s == 1 else tuple(c * s for c in nums)
+
+
+def _coords(vecs, m: int) -> list[list[list[int]]]:
+    """The phi(m) coordinates of each numerator of the vectors of a `_lift`."""
+    phi = euler_phi(m)
+    if phi == 1:
+        return [[[x] for x in vec] for vec in vecs]
+    return [[list(x) if x else [0] * phi for x in vec] for vec in vecs]
+
+
+def _dots(u, vs, m: int) -> list[list[int]]:
+    """The phi(m) coordinates of sum_t u[t] * v[t] for each v in vs, on
+    `_lift` numerators: the polymul products summed, then one reduction mod
+    Phi_m."""
+    if euler_phi(m) == 1:
+        return [[sum(map(mul, u, v))] for v in vs]
+    out = []
+    for v in vs:
+        terms = [polymul(x, y) for x, y in zip(u, v) if x and y]
+        out.append(reduce_cyclotomic([sum(cs) for cs in zip(*terms)], m))
+    return out
+
+
+def _prec_floors(xs) -> list[tuple[int, int]]:
+    return [(x.prec, x.coeff_floor()) for x in xs]
+
+
+def _dot_prec(u, v) -> int:
+    """Precision of sum_t x_t * y_t from the `_prec_floors` pairs of the x_t
+    and the y_t: the min over all terms, zero terms included, of the
+    precision `CycloPadic.__mul__` gives x_t * y_t, which is at most _BIG."""
+    return min(_BIG, *(min(pa + fb, pb + fa, pa + pb) for (pa, fa), (pb, fb) in zip(u, v)))
 
 
 def identity_matrix(ctx: PrecisionContext, n: int):

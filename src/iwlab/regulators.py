@@ -8,13 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from . import linalg
-from ._intpoly import euler_phi, polymul, reduce_cyclotomic
 from .characters import Character, character_table, induce, inner_product
 from .groups import FiniteGroup, SubgroupDesc
-from .padic import _BIG, CycloPadic, PrecisionContext, _embed_nums, _floor
+from .padic import CycloPadic, PrecisionContext, _floor
 from .tower import ArtinCharacter, LieTower, PermutationModule, xy_modules
 
 
@@ -27,11 +25,13 @@ class RepresentationModule:
     """Explicit action matrices over the cyclotomic scalar field.
 
     Construction checks the law A_a A_b = A_ab for every generator a and
-    every element b, entry by entry, as the congruence `CycloPadic.equals`
-    decides it on the `linalg.mat_mul` product: an entry passes when the
-    exact difference is zero or has coeff_floor at least the precision
-    `mat_mul` would give the product, joined with the target's.  The
-    products are taken on integer coordinates in one conductor."""
+    every element b, entry by entry, as `CycloPadic.equals` decides it on the
+    `linalg.mat_mul` product (the `linalg` docstring states that product and
+    its precision rule).  It runs on the integer coordinates of the product:
+    every matrix is converted once, over one denominator in the conductor of
+    all of them, and an entry passes when the exact difference is zero or has
+    coeff_floor at least the `mat_mul` precision of the product, joined with
+    the target's."""
 
     group: FiniteGroup
     matrices: tuple  # one square matrix per group element
@@ -44,26 +44,31 @@ class RepresentationModule:
         for mat in mats:
             if len(mat) != dim or any(len(r) != dim for r in mat):
                 raise ValueError("ragged action matrix")
-        big_m = lcm(*(x.m for mat in mats for row in mat for x in row))
-        phi = euler_phi(big_m)
-        coords = [_int_coords(mat, big_m, phi) for mat in mats]
+        # every entry over one denominator den: a product entry is dot / den^2
+        # and its target t / den, so the two are equal when dot = t * den
+        m = lcm(*(x.m for mat in mats for row in mat for x in row))
+        lifted, den = linalg._lift([row for mat in mats for row in mat], m)
+        scaled = linalg._coords(lifted, m)
+        if den != 1:
+            scaled = [[[c * den for c in t] for t in row] for row in scaled]
+        rows = [lifted[s * dim : (s + 1) * dim] for s in range(g.n)]
+        targets = [scaled[s * dim : (s + 1) * dim] for s in range(g.n)]
+        cols = [list(zip(*mat)) for mat in rows]
         for a in g.generators:
-            rows_a, _, den_a = coords[a]
             for b in range(g.n):
-                _, cols_b, den_b = coords[b]
                 c = g.table[a][b]
-                rows_c, _, den_c = coords[c]
-                den_ab = den_a * den_b
-                for i, row in enumerate(rows_a):
-                    for j, col in enumerate(cols_b):
-                        if phi == 1:
-                            diff = (sum(map(mul, row, col)) * den_c - rows_c[i][j] * den_ab,)
-                        else:
-                            target = rows_c[i][j] or (0,) * phi
-                            diff = [u * den_c - v * den_ab for u, v in zip(_coord_dot(row, col, big_m), target)]
-                        if any(diff) and not _congruent(
-                            diff, den_ab * den_c, mats[a][i], [r[j] for r in mats[b]], mats[c][i][j]
-                        ):
+                for i, (u, wants) in enumerate(zip(rows[a], targets[c])):
+                    gots = linalg._dots(u, cols[b], m)
+                    if gots == wants:
+                        continue
+                    for j, (got, want) in enumerate(zip(gots, wants)):
+                        if got == want:
+                            continue
+                        # a nonzero exact difference (got - want) / den^2
+                        col = [r[j] for r in mats[b]]
+                        prec = linalg._dot_prec(linalg._prec_floors(mats[a][i]), linalg._prec_floors(col))
+                        t = mats[c][i][j]
+                        if _floor([x - y for x, y in zip(got, want)], den * den, t.ctx.p) < min(prec, t.prec):
                             raise ValueError("matrices do not satisfy the multiplication table")
 
     @property
@@ -100,38 +105,6 @@ class RepresentationModule:
 
 def _mat_equals(a, b) -> bool:
     return all(x.equals(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _int_coords(mat, big_m: int, phi: int):
-    """(rows, columns, den): the entries of mat over one common denominator,
-    as integer numerators when phi(big_m) = 1, else as coordinate tuples in
-    conductor big_m with () for a zero entry."""
-    den = lcm(*(x.den for row in mat for x in row))
-    if phi == 1:
-        rows = [[x.nums[0] * (den // x.den) for x in row] for row in mat]
-    else:
-        rows = [
-            [tuple(c * (den // x.den) for c in _embed_nums(x.nums, x.m, big_m)) if any(x.nums) else () for x in row]
-            for row in mat
-        ]
-    return rows, list(zip(*rows)), den
-
-
-def _coord_dot(row, col, m: int) -> list[int]:
-    """sum_t row[t] * col[t] on coordinate tuples in conductor m: the polymul
-    products summed, then one reduction mod Phi_m."""
-    terms = [polymul(x, y) for x, y in zip(row, col) if x and y]
-    return reduce_cyclotomic([sum(cs) for cs in zip(*terms)] if terms else [0], m)
-
-
-def _congruent(diff, den, row, col, target: CycloPadic) -> bool:
-    """`CycloPadic.equals` of the `linalg.mat_mul` product of row and col with
-    target, given their nonzero exact difference diff / den in integer
-    coordinates.  coeff_floor is the same in every conductor; the product's
-    precision is the min over its terms, zero terms included."""
-    p = target.ctx.p
-    prec = min(min(x.prec + y.coeff_floor(), y.prec + x.coeff_floor(), x.prec + y.prec, _BIG) for x, y in zip(row, col))
-    return _floor(diff, den, p) >= min(prec, target.prec)
 
 
 def _character_of(group: FiniteGroup, mats) -> Character:
@@ -176,7 +149,7 @@ def x_representation(module: PermutationModule, ctx: PrecisionContext) -> Repres
     return RepresentationModule(module.group, mats)
 
 
-def irreducible_representation(chi: Character, order_bound: int = 200) -> RepresentationModule:
+def irreducible_representation(chi: Character) -> RepresentationModule:
     """Realize an irreducible character with explicit matrices: linear directly,
     else a monomial induction from a linear character of a subgroup, else a
     multiplicity-one summand of a coset permutation module, else a twist of one
@@ -188,24 +161,24 @@ def irreducible_representation(chi: Character, order_bound: int = 200) -> Repres
     d = chi.degree_int()
     if d == 1:
         return RepresentationModule(g, tuple(((chi.value(s),),) for s in range(g.n)))
-    mono = _monomial_realization(chi, order_bound)
+    mono = _monomial_realization(chi)
     if mono is not None:
         return mono
     perm = _permutation_summand_realization(chi)
     if perm is not None:
         return perm
-    table = character_table(g, ctx, order_bound)
+    table = character_table(g, ctx)
     linears = [c for c in table if c.degree_int() == 1]
     for mu in linears[1:]:
         base = chi * mu.dual()
-        for cand in (lambda: _monomial_realization(base, order_bound), lambda: _permutation_summand_realization(base)):
+        for cand in (lambda: _monomial_realization(base), lambda: _permutation_summand_realization(base)):
             got = cand()
             if got is not None:
                 return got.tensor_linear(mu)
     raise ValueError("no realization found in the catalog; supply matrices explicitly")
 
 
-def _monomial_realization(chi: Character, order_bound: int):
+def _monomial_realization(chi: Character):
     g = chi.group
     ctx = chi.ctx
     d = chi.degree_int()
@@ -213,7 +186,7 @@ def _monomial_realization(chi: Character, order_bound: int):
         if len(elems) * d != g.n:
             continue
         sub = SubgroupDesc(g, elems)
-        htable = character_table(sub.as_group, ctx, order_bound)
+        htable = character_table(sub.as_group, ctx)
         for lam in htable:
             if lam.degree_int() != 1:
                 continue

@@ -853,6 +853,8 @@ def check_k0_relations(ctx: PrecisionContext, rng, count: int = 100):
 
 
 def check_rec_class_behaviour(ctx: PrecisionContext, rng, splittings: int = 20):
+    if ctx.cap_N < 3:
+        raise SkipCheck("inverting x = p costs twice its valuation, which needs cap_N >= 3")
     ring = ProductRing(ctx, (1,))
     x = ctx.make(ctx.p)
     c = two_term_complex(ring, [((x,),)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from .characters import (
     Character,
@@ -176,6 +177,27 @@ class ArtinCharacter:
         m = max(self.level, other.level)
         return self.inflate_to(m).char.equals(other.inflate_to(m).char)
 
+    @cached_property
+    def w_chi(self) -> int:
+        """Index of the Clifford stabiliser of a restriction constituent; a
+        p-power, computed once per character.
+
+        G/H is cyclic, so res_H chi is multiplicity-free (Clifford's theorem;
+        Isaacs, Character Theory of Finite Groups, 6.2 and 11.22) and the index
+        is the number of its constituents, <res_H chi, res_H chi>_H."""
+        if not self.is_irreducible():
+            raise ValueError("w_chi requires an irreducible character")
+        res = restrict(self.char, self.tower.level(self.level).h_sub)
+        ip = inner_product(res, res)
+        if not ip.is_rational() or ip.rational_value().denominator != 1:
+            raise AssertionError("restriction norm must be an integer")
+        w = k = int(ip.rational_value())
+        while k % self.tower.p == 0:
+            k //= self.tower.p
+        if k != 1:
+            raise AssertionError("stabiliser index must be a power of p")
+        return w
+
 
 @dataclass(frozen=True)
 class TypeWCharacter:
@@ -200,23 +222,10 @@ class TypeWCharacter:
 
 
 def w_chi(tower: LieTower, chi: ArtinCharacter) -> int:
-    """Index of the Clifford stabiliser of a restriction constituent; a p-power.
-
-    G/H is cyclic, so res_H chi is multiplicity-free (Clifford's theorem;
-    Isaacs, Character Theory of Finite Groups, 6.2 and 11.22) and the index
-    is the number of its constituents, <res_H chi, res_H chi>_H."""
-    if not chi.is_irreducible():
-        raise ValueError("w_chi requires an irreducible character")
-    res = restrict(chi.char, tower.level(chi.level).h_sub)
-    ip = inner_product(res, res)
-    if not ip.is_rational() or ip.rational_value().denominator != 1:
-        raise AssertionError("restriction norm must be an integer")
-    w = k = int(ip.rational_value())
-    while k % tower.p == 0:
-        k //= tower.p
-    if k != 1:
-        raise AssertionError("stabiliser index must be a power of p")
-    return w
+    """`ArtinCharacter.w_chi` of chi, a character of tower."""
+    if tower is not chi.tower:
+        raise ValueError("chi is a character of another tower")
+    return chi.w_chi
 
 
 def restriction_constituents(tower: LieTower, chi: ArtinCharacter):

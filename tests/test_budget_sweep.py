@@ -5,10 +5,11 @@ values, representation matrices) must not depend on the budget at all.
 Covers the `chars` and `regulator` suites at p=3 1,1 and p=2 2,2; `tower`
 below cap_D = p - 1, where no twist point certifies a digit, and at p=2 1,1,
 where the values of C2 are congruent mod 2; `series` below cap_N = 2 and where
-two interpolation points are congruent mod p^cap_N; and
-`series/weierstrass-roundtrip` below cap_D = 8 and below cap_N = 4.
-`ktheory/rec-class` still records failures at these budgets, and
-`brauer/resummation` at p=2 1,1."""
+two interpolation points are congruent mod p^cap_N;
+`series/weierstrass-roundtrip` below cap_D = 8 and below cap_N = 4; and
+`ktheory` at p=3 1,1, p=2 2,2 and 1,1 and p=5 1,1, where `ktheory/rec-class`
+skips below cap_N = 3.  `brauer/resummation` still records a failure at
+p=2 1,1."""
 
 import random
 
@@ -21,6 +22,7 @@ from iwlab.suites import SkipCheck, check_weierstrass_roundtrip, run_suite
 POINTS = [(suite, p, n, d, 0) for p, n, d in ((3, 1, 1), (2, 2, 2)) for suite in ("chars", "regulator")]
 POINTS += [("tower", 3, 1, 1, 0), ("tower", 2, 1, 1, 0), ("tower", 5, 3, 3, 1), ("tower", 7, 4, 4, 2)]
 POINTS += [("series", 3, 1, 1, 0), ("series", 2, 1, 1, 0), ("series", 2, 3, 3, 0)]
+POINTS += [("ktheory", 3, 1, 1, 0), ("ktheory", 2, 2, 2, 0), ("ktheory", 2, 1, 1, 0), ("ktheory", 5, 1, 1, 0)]
 
 
 @pytest.mark.parametrize("point", POINTS, ids=[f"{s}-p{p}-{n},{d}-seed{k}" for s, p, n, d, k in POINTS])

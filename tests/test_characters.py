@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from iwlab.characters import (
+    DEFAULT_ORDER_BOUND,
+    _TABLE_CACHE,
     Character,
     _cyclic_convolve,
     algebra_one,
@@ -256,11 +258,12 @@ def test_conjugate_character():
     assert conj.equals(dual(omega))
 
 
-def test_order_bound_is_checked_on_a_cache_hit():
-    g = symmetric_group(4)
-    assert len(character_table(g, CTX)) == 5
-    with pytest.raises(ValueError):
-        character_table(g, CTX, order_bound=10)
+def test_groups_above_the_order_bound_are_refused_before_any_table_is_built():
+    assert DEFAULT_ORDER_BOUND == 200
+    builds = len(_TABLE_CACHE)
+    with pytest.raises(ValueError, match="exceeds the bound 200"):
+        character_table(cyclic_group(201), CTX)
+    assert len(_TABLE_CACHE) == builds
 
 
 def test_cyclic_convolution_agrees_with_schoolbook_when_p_divides_the_order():

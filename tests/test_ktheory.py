@@ -347,3 +347,27 @@ def test_four_term_complex_class():
     d = det_of_map(cls.map)[0]
     # trace: phi_t = diag-ish assembled from a^{-1} and b: det = +- b/a
     assert d.equals(b * a.inverse()) or d.equals(-(b * a.inverse()))
+
+
+# -- rank-0 components -------------------------------------------------------------
+
+
+def test_compose_through_a_rank_zero_component():
+    ring = ProductRing(CTX, (1, 3))
+    f = identity_map(FreeModuleRanks(ring, (2, 0)))
+    assert f.compose(f).equals(f)
+    # R -> 0 -> R: a 1 x 0 times 0 x 1 product is the 1 x 1 zero matrix
+    one, zero = FreeModuleRanks(FIELD, (1,)), FreeModuleRanks(FIELD, (0,))
+    into_zero = FreeModuleMap(FIELD, one, zero, ((),))
+    out_of_zero = FreeModuleMap(FIELD, zero, one, (((),),))
+    composed = out_of_zero.compose(into_zero)
+    assert composed.source == one and composed.target == one
+    assert len(composed.comps[0]) == 1 and composed.comps[0][0][0].is_exact_zero()
+
+
+def test_complex_with_a_rank_zero_middle_term():
+    # degrees 0, 1, 2 with ranks 1, 0, 1: d o d passes through the zero module
+    ranks = {0: (1,), 1: (0,), 2: (1,)}
+    diffs = {0: ((),), 1: (((),),)}
+    c = TrivializedComplex(FIELD, (0, 1, 2), ranks, diffs, None)
+    assert cohomology_dims(c) == ((0,), (2,))

@@ -65,3 +65,70 @@ def test_det_matches_leibniz_expansion():
                     term = term * mat[i][perm[i]]
                 want = want + term
             assert (linalg.det(mat, ctx) - want).is_exact_zero()
+
+
+def _scalar_mat_mul(a, b):
+    """The CycloPadic loop acc = acc + a[i][t] * b[t][j] that `mat_mul`
+    replaced, kept as its reference."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for t in range(1, len(b)):
+                acc = acc + row[t] * b[t][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _random_matrix(rng, ctx, rows, cols, conductors):
+    """Entries of conductors drawn from `conductors`, a fifth of them exact
+    zeros, with p-free or p-power denominators, numerators often divisible by
+    p, and precisions at or below cap_N."""
+    p = ctx.p
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            m = rng.choice(conductors)
+            prec = ctx.cap_N - rng.choice((0, 0, 0, 1, 3))
+            if rng.random() < 0.2:
+                row.append(CycloPadic(ctx, m, (0,) * euler_phi(m), prec, 1))
+                continue
+            scale = p ** rng.choice((0, 0, 1, 2))
+            nums = [scale * rng.randint(-9, 9) for _ in range(euler_phi(m))]
+            den = rng.choice((1, 1, 2, 5, 7)) * p ** rng.choice((0, 0, 1, 2))
+            row.append(CycloPadic(ctx, m, nums, prec, den))
+        out.append(row)
+    return out
+
+
+def _entries(mat):
+    return [(x.m, tuple(x.nums), x.den, x.prec) for row in mat for x in row]
+
+
+def test_mat_mul_reproduces_the_scalar_loop():
+    rng = random.Random("mat-mul")
+    mixed = zeros = p_dens = short = 0
+    for k in range(3000):
+        p = (2, 3, 5, 7)[k % 4]
+        ctx = PrecisionContext(p=p, cap_N=rng.randint(2, 10), cap_D=8)
+        pool = sorted({1, 3, 4, 9, 12, p, 2 * p})
+        n, inner, m = (rng.randint(1, 4) for _ in range(3))
+        a = _random_matrix(rng, ctx, n, inner, rng.sample(pool, rng.randint(1, 3)))
+        b = _random_matrix(rng, ctx, inner, m, rng.sample(pool, rng.randint(1, 3)))
+        got = _entries(linalg.mat_mul(a, b))
+        assert got == _entries(_scalar_mat_mul(a, b))
+        mixed += len({x.m for row in a + b for x in row}) > 1
+        zeros += sum(not any(nums) for _, nums, _, _ in got)
+        p_dens += sum(den % p == 0 for _, _, den, _ in got)
+        short += sum(prec < ctx.cap_N for *_, prec in got)
+    # most products mix conductors; exact zeros, p-power denominators and
+    # precisions below cap_N all occur among the 18k entries
+    assert mixed > 2500 and zeros > 1000 and p_dens > 5000 and short > 10000
+
+
+def test_mat_mul_refuses_an_empty_inner_dimension():
+    with pytest.raises(ValueError):
+        linalg.mat_mul([[], []], [])

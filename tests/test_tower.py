@@ -80,6 +80,15 @@ def test_w_chi_trivial_and_abelian():
         assert w_chi(t, chi) == 1
 
 
+def test_w_chi_is_kept_on_the_character():
+    t = c7_c9_tower()
+    chi = next(c for c in artin_chars(t, 1) if c.char.degree_int() == 3)
+    assert "w_chi" not in vars(chi)
+    assert w_chi(t, chi) == 3 and vars(chi)["w_chi"] == 3
+    with pytest.raises(ValueError):
+        w_chi(c7_c9_tower(), chi)
+
+
 def test_w_chi_split_nonabelian_is_one():
     t = SplitTower(CTX, symmetric_group(3), n_max=1)
     for chi in artin_chars(t, 1):
